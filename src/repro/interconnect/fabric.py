@@ -23,7 +23,8 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interconnect.link import DEFAULT_QUANTUM, Link
-from repro.interconnect.route import Route, TransferReceipt, route_between
+from repro.interconnect.route import (Route, TransferReceipt,
+                                      check_transfer_args, route_between)
 from repro.interconnect.specs import (
     TOPOLOGY_ALL_TO_ALL,
     TOPOLOGY_CUBE_MESH,
@@ -209,11 +210,7 @@ class Fabric:
         lo, hi = self.gpu_base, self.gpu_base + self.num_gpus - 1
         if not lo <= gpu <= hi:
             raise ConfigurationError(f"GPU {gpu} out of range {lo}..{hi}")
-        if nbytes < 0:
-            raise ConfigurationError(f"negative payload: {nbytes}")
-        if access_size < 1:
-            raise ConfigurationError(
-                f"access size must be >= 1: {access_size}")
+        check_transfer_args(nbytes, access_size)
         event = Event(self.engine)
         event.succeed(TransferReceipt(
             src=gpu, dst=gpu, payload_bytes=nbytes, wire_bytes=0,

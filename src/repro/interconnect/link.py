@@ -3,7 +3,9 @@
 A :class:`Link` is one *direction* of a physical connection (GPU→GPU,
 GPU→switch, ...).  Transfers serialize on the link FIFO in service quanta
 so that concurrent flows share bandwidth approximately fairly, the way
-packet interleaving shares a real link.
+packet interleaving shares a real link.  Arbitration is a held flag plus
+a FIFO of waiting grant callbacks (:meth:`Link.acquire` /
+:meth:`Link.release`).
 
 Links account both *goodput* (useful payload bytes) and *wire bytes*
 (payload plus packet overhead), so interconnect efficiency is measurable
@@ -14,10 +16,10 @@ from __future__ import annotations
 
 import re
 import typing
+from collections import deque
 
 from repro.errors import ConfigurationError
 from repro.interconnect.packet import PacketFormat
-from repro.sim.resources import Resource
 from repro.sim.trace import IntervalStats
 
 #: First ``gpu{N}`` mentioned in a link name owns its trace lane
@@ -46,7 +48,8 @@ class Link:
         self.bandwidth = bandwidth
         self.format = fmt
         self.quantum = quantum
-        self.arbiter = Resource(engine, capacity=1)
+        self._held = False
+        self._waiting = deque()
         self.goodput_bytes = 0
         self.wire_bytes = 0
         self.busy = IntervalStats()
@@ -56,6 +59,26 @@ class Link:
     def service_time(self, wire_bytes: int) -> float:
         """Seconds the link is occupied moving ``wire_bytes``."""
         return wire_bytes / self.bandwidth
+
+    def acquire(self, grant) -> None:
+        """Call ``grant(event)`` once the link is free, FIFO among waiters.
+
+        The grant is a normal-priority event at the current time — or, for
+        a queued waiter, at the releasing holder's service end — so it
+        lands on the heap exactly where a semaphore request's grant would.
+        """
+        if self._held:
+            self._waiting.append(grant)
+        else:
+            self._held = True
+            self.engine._sleep(0.0).callbacks.append(grant)
+
+    def release(self) -> None:
+        """Free the link, handing it straight to the oldest waiter."""
+        if self._waiting:
+            self.engine._sleep(0.0).callbacks.append(self._waiting.popleft())
+        else:
+            self._held = False
 
     def account(self, start: float, end: float, goodput: int, wire: int) -> None:
         """Record a completed service interval."""

@@ -9,6 +9,17 @@ the slowest hop, but faster hops stay free for other flows — exactly how
 a transfer agent's thread-pool "throttle" can feed several destination
 links concurrently.  Delivery latency is paid once, after the final
 quantum.
+
+Transfers run on engine callbacks, with no process per transfer or per
+quantum: one :class:`_Flow` per transfer and one :class:`_Quantum` per
+quantum in flight.  They put on the heap exactly the entries, at the
+same times, priorities and relative order, that a transfer process
+spawning one process per quantum would, minus three kinds that can have
+no effect: the start of quanta after the first (each only waits on a
+gate that cannot fire before it), the completion of every quantum but
+the last (nobody waits on it), and the last quantum's per-hop gates (no
+successor waits on them).  Results are therefore bit-identical to that
+process chain; docs/MODELING.md lists the entries kept.
 """
 
 from __future__ import annotations
@@ -42,6 +53,14 @@ class TransferReceipt:
         return self.end_time - self.start_time
 
 
+def check_transfer_args(payload_bytes: int, access_size: int) -> None:
+    """Reject a negative payload or an access size below one byte."""
+    if payload_bytes < 0:
+        raise ConfigurationError(f"negative payload: {payload_bytes}")
+    if access_size < 1:
+        raise ConfigurationError(f"access size must be >= 1: {access_size}")
+
+
 class Route:
     """A unidirectional path between two endpoints."""
 
@@ -57,11 +76,8 @@ class Route:
         self.links = tuple(links)
         self.latency = latency
         self._quantum = min(link.quantum for link in self.links)
-        self._xfer_name = f"xfer:{src}->{dst}"
-        self._quantum_name = f"quantum:{src}->{dst}"
-        # access_size -> per-hop (wire, service) plan for a full quantum;
-        # every quantum except a possible tail is exactly ``_quantum``
-        # bytes, so the per-hop framing and service time repeat verbatim.
+        # access_size -> per-hop (link, wire, service) plan for one full
+        # quantum.
         self._full_plan_memo: dict = {}
 
     @property
@@ -72,17 +88,13 @@ class Route:
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
         """Send ``payload_bytes`` issued as ``access_size``-byte accesses.
 
-        Returns the completion event of a new process; its value is a
-        :class:`TransferReceipt`.
+        Returns an event whose value is a :class:`TransferReceipt`.
         """
-        if payload_bytes < 0:
-            raise ConfigurationError(f"negative payload: {payload_bytes}")
-        if access_size < 1:
-            raise ConfigurationError(f"access size must be >= 1: {access_size}")
-        return self.engine.process(
-            self._transfer(payload_bytes, access_size),
-            name=self._xfer_name,
-        )
+        check_transfer_args(payload_bytes, access_size)
+        done = Event(self.engine)
+        flow = _Flow(self, payload_bytes, access_size, done)
+        self.engine._resume_event(flow.start, True, None, False)
+        return done
 
     def _hop_plan(self, quantum: int, access_size: int):
         """Per-hop ``(link, wire, service)`` for one ``quantum``-byte move.
@@ -96,78 +108,159 @@ class Route:
             plan.append((link, wire, link.service_time(wire)))
         return tuple(plan)
 
-    def _move_quantum(self, quantum: int, plan, gates, dones):
-        """One quantum's journey across every hop, gated by its
-        predecessor quantum so per-hop FIFO order is preserved."""
-        engine = self.engine
-        for hop, (link, wire, service) in enumerate(plan):
-            if gates is not None:
-                yield gates[hop]
-            yield link.arbiter.request()
-            service_start = engine.now
-            yield engine._sleep(service)
-            link.account(service_start, engine.now, quantum, wire)
-            link.arbiter.release()
-            dones[hop].succeed()
 
-    def _transfer(self, payload_bytes: int, access_size: int):
-        engine = self.engine
-        links = self.links
-        start_time = engine.now
-        total_wire = 0
-        remaining = payload_bytes
-        step = self._quantum
-        # The slowest hop's framing and service time for a full quantum,
-        # computed once: all quanta except a possible tail are exactly
-        # ``step`` bytes, so their per-hop plan repeats verbatim.
-        full_plan = self._full_plan_memo.get(access_size)
-        if full_plan is None and remaining >= step:
-            full_plan = self._full_plan_memo[access_size] = (
-                self._hop_plan(step, access_size))
-        step_wire = (max(wire for _link, wire, _svc in full_plan)
-                     if remaining >= step else 0)
-        quantum_name = self._quantum_name
-        # Quanta pipeline across hops: quantum k occupies hop h while
-        # quantum k+1 occupies hop h-1, so a multi-hop route still moves
-        # data at the slowest hop's rate while leaving faster hops free
-        # for other flows.
-        gates = None
-        last_quantum = None
-        while remaining > 0:
-            if remaining >= step:
-                quantum = step
-                plan = full_plan
-                total_wire += step_wire
-            else:
-                quantum = remaining
-                plan = self._hop_plan(quantum, access_size)
-                total_wire += max(wire for _link, wire, _svc in plan)
-            dones = [Event(engine) for _ in links]
-            last_quantum = engine.process(
-                self._move_quantum(quantum, plan, gates, dones),
-                name=quantum_name)
-            gates = dones
-            remaining -= quantum
-        if last_quantum is not None:
-            yield last_quantum
-        if self.latency > 0 and payload_bytes > 0:
-            yield engine._sleep(self.latency)
+class _Flow:
+    """One route transfer: cuts the payload into quanta and signs off.
+
+    Quanta pipeline across hops: quantum k occupies hop h while quantum
+    k+1 occupies hop h-1, so a multi-hop route still moves data at the
+    slowest hop's rate while leaving faster hops free for other flows.
+    Quantum k+1 may enter hop h only after quantum k's per-hop *gate*
+    for h has fired, which keeps every link FIFO in quantum order.
+    """
+
+    __slots__ = ("route", "payload_bytes", "access_size", "done",
+                 "start_time", "remaining", "full_plan", "tail_plan",
+                 "wire_bytes")
+
+    def __init__(self, route: Route, payload_bytes: int, access_size: int,
+                 done: Event) -> None:
+        self.route = route
+        self.payload_bytes = payload_bytes
+        self.access_size = access_size
+        self.done = done
+
+    def start(self, _event) -> None:
+        """Transfer start: plan the quanta and start the first one."""
+        route = self.route
+        access_size = self.access_size
+        self.start_time = route.engine.now
+        self.remaining = self.payload_bytes
+        full, tail = divmod(self.payload_bytes, route._quantum)
+        self.wire_bytes = 0
+        if full:
+            # All quanta except a possible tail are exactly one full
+            # quantum, so their per-hop plan is memoized per access size.
+            plan = route._full_plan_memo.get(access_size)
+            if plan is None:
+                plan = route._full_plan_memo[access_size] = route._hop_plan(
+                    route._quantum, access_size)
+            self.full_plan = plan
+            self.wire_bytes = full * max(wire for _link, wire, _s in plan)
+        if tail:
+            self.tail_plan = route._hop_plan(tail, access_size)
+            self.wire_bytes += max(wire for _link, wire, _s in self.tail_plan)
+        if self.payload_bytes == 0:
+            self.finish(None)
+            return
+        route.engine._resume_event(self.next_quantum(None).request,
+                                   True, None, False)
+
+    def next_quantum(self, gates) -> "_Quantum":
+        """The next quantum to send; ``gates`` as in :class:`_Quantum`."""
+        step = self.route._quantum
+        if self.remaining >= step:
+            nbytes, plan = step, self.full_plan
+        else:
+            nbytes, plan = self.remaining, self.tail_plan
+        self.remaining -= nbytes
+        return _Quantum(self, nbytes, plan, gates)
+
+    def delivered(self, _event) -> None:
+        """The last quantum left the last hop: pay latency, then finish."""
+        route = self.route
+        if route.latency > 0:
+            route.engine._sleep(route.latency).callbacks.append(self.finish)
+        else:
+            self.finish(None)
+
+    def finish(self, _event) -> None:
+        """Trace the transfer and fire the caller's event with a receipt."""
+        route = self.route
+        engine = route.engine
         tracer = engine.tracer
         if tracer.enabled:
-            tracer.span(start_time, self.engine.now,
-                        f"gpu{self.src}.transfer", f"->gpu{self.dst}",
-                        payload={"bytes": payload_bytes,
-                                 "wire_bytes": total_wire,
-                                 "access_size": access_size})
-        return TransferReceipt(
-            src=self.src,
-            dst=self.dst,
-            payload_bytes=payload_bytes,
-            wire_bytes=total_wire,
-            access_size=access_size,
-            start_time=start_time,
-            end_time=self.engine.now,
-        )
+            tracer.span(self.start_time, engine.now,
+                        f"gpu{route.src}.transfer", f"->gpu{route.dst}",
+                        payload={"bytes": self.payload_bytes,
+                                 "wire_bytes": self.wire_bytes,
+                                 "access_size": self.access_size})
+        self.done.succeed(TransferReceipt(
+            src=route.src,
+            dst=route.dst,
+            payload_bytes=self.payload_bytes,
+            wire_bytes=self.wire_bytes,
+            access_size=self.access_size,
+            start_time=self.start_time,
+            end_time=engine.now,
+        ))
+
+
+class _Quantum:
+    """One quantum's journey across every hop of its flow's route.
+
+    ``gates`` counts the predecessor quantum's per-hop gates that have
+    fired (``None`` for a flow's first quantum, which waits on nothing);
+    ``waiting`` is set while this quantum sits at hop ``gates`` for that
+    gate.  ``succ`` is the successor, created when gate 0 fires.
+    """
+
+    __slots__ = ("flow", "nbytes", "plan", "gates", "hop", "service_start",
+                 "last", "waiting", "succ")
+
+    def __init__(self, flow: _Flow, nbytes: int, plan, gates) -> None:
+        self.flow = flow
+        self.nbytes = nbytes
+        self.plan = plan
+        self.gates = gates
+        self.hop = 0
+        self.last = flow.remaining == 0
+        self.waiting = False
+        self.succ = None
+
+    def request(self, _event) -> None:
+        """Queue for the current hop's link."""
+        self.plan[self.hop][0].acquire(self.granted)
+
+    def granted(self, event) -> None:
+        """The link is ours: occupy it for this hop's service time."""
+        self.service_start = event.engine.now
+        event.engine._sleep(self.plan[self.hop][2]).callbacks.append(
+            self.served)
+
+    def served(self, event) -> None:
+        """Service ended: account, release, open the gate, move on."""
+        engine = event.engine
+        plan = self.plan
+        hop = self.hop
+        link, wire, _service = plan[hop]
+        link.account(self.service_start, engine.now, self.nbytes, wire)
+        link.release()
+        if not self.last:
+            engine._sleep(0.0).callbacks.append(self.gate)
+        hop = self.hop = hop + 1
+        if hop == len(plan):
+            if self.last:
+                engine._sleep(0.0).callbacks.append(self.flow.delivered)
+        elif self.gates is None:
+            plan[hop][0].acquire(self.granted)
+        elif self.gates > hop:
+            # The predecessor's gate already fired: urgent bounce.
+            engine._resume_event(self.request, True, None, False)
+        else:
+            self.waiting = True
+
+    def gate(self, _event) -> None:
+        """This quantum's next per-hop gate fired: wake the successor."""
+        succ = self.succ
+        if succ is None:
+            self.succ = succ = self.flow.next_quantum(1)
+            succ.request(None)
+            return
+        succ.gates += 1
+        if succ.waiting:
+            succ.waiting = False
+            succ.request(None)
 
 
 class LoopbackRoute(Route):
@@ -177,6 +270,7 @@ class LoopbackRoute(Route):
         super().__init__(engine, endpoint, endpoint, [fmt_link], latency=0.0)
 
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
+        check_transfer_args(payload_bytes, access_size)
         event = Event(self.engine)
         event.succeed(TransferReceipt(
             src=self.src, dst=self.dst, payload_bytes=payload_bytes,
@@ -197,6 +291,7 @@ class InfiniteRoute(Route):
         super().__init__(engine, src, dst, [fmt_link], latency=0.0)
 
     def transfer(self, payload_bytes: int, access_size: int) -> Event:
+        check_transfer_args(payload_bytes, access_size)
         event = Event(self.engine)
         tracer = self.engine.tracer
         if tracer.enabled:

@@ -5,7 +5,7 @@
 per-GPU devices.  Every simulation in this library — microbenchmark,
 profiler run, end-to-end application — starts by building a ``System``.
 
-    system = System.from_name("4x_pascal")
+    system = System(platform_by_name("4x_pascal"))
     kernel = system.devices[0].launch_kernel("produce", work=1e-3)
     system.run(until=kernel.done)
 """

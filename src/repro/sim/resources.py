@@ -3,7 +3,7 @@
 Three primitives cover everything the simulator needs:
 
 * :class:`Resource` — a counted semaphore with FIFO queuing (SM slots,
-  DMA engines, link arbitration).
+  DMA engines).
 * :class:`Store` — an unbounded/bounded FIFO of Python objects with
   blocking ``get`` (work queues between producers and transfer agents).
 * :class:`Counter` — a numeric level with the ability to wait until the

@@ -24,7 +24,7 @@ from repro.collectives import (
     verify_schedule,
 )
 from repro.errors import CollectiveError, ConfigurationError
-from repro.hw.platform import PLATFORMS
+from repro.hw.platform import PLATFORMS, platform_by_name
 from repro.interconnect.route import TransferReceipt
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.system import System
@@ -124,7 +124,7 @@ def test_chunking_overlaps_ring_hops():
 # ---------------------------------------------------------------------------
 
 def test_system_collective_entry_point():
-    system = System.from_name("4x_volta")
+    system = System(platform_by_name("4x_volta"))
     proc = system.collective("all_reduce", 4 * MiB, algorithm="ring",
                              chunk_size=256 * KiB)
     result = system.run(until=proc)
@@ -137,7 +137,7 @@ def test_system_collective_entry_point():
 
 
 def test_fabric_send_to_self_is_zero_cost():
-    system = System.from_name("4x_volta")
+    system = System(platform_by_name("4x_volta"))
     event = system.fabric.send(2, 2, 1 * MiB, access_size=256)
     receipt = system.run(until=event)
     assert isinstance(receipt, TransferReceipt)
@@ -149,7 +149,7 @@ def test_fabric_send_to_self_is_zero_cost():
 
 
 def test_fabric_send_to_self_still_validates():
-    system = System.from_name("4x_volta")
+    system = System(platform_by_name("4x_volta"))
     with pytest.raises(ConfigurationError):
         system.fabric.send(7, 7, 1 * MiB, access_size=256)
     with pytest.raises(ConfigurationError):
@@ -169,7 +169,7 @@ def test_single_gpu_collective_completes_instantly():
 
 
 def test_executor_rejects_mismatched_gpu_count():
-    system = System.from_name("4x_volta")
+    system = System(platform_by_name("4x_volta"))
     schedule = build_schedule(COLL_ALL_REDUCE, ALGO_RING, 8, 1 * MiB,
                               256 * KiB)
     with pytest.raises(CollectiveError):

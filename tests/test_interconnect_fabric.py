@@ -74,6 +74,19 @@ def test_nvswitch_full_bandwidth_per_pair():
 # Routing behaviour
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("infinite", [False, True])
+def test_send_rejects_bad_payload_and_access_size(infinite):
+    # Infinite fabrics route through InfiniteRoute, which used to hand
+    # back a receipt for a negative payload instead of rejecting it.
+    fabric = Fabric(Engine(), NVLINK2, num_gpus=4, infinite=infinite)
+    with pytest.raises(ConfigurationError, match="negative payload"):
+        fabric.send(0, 1, -5, 0)
+    with pytest.raises(ConfigurationError, match="access size"):
+        fabric.send(0, 1, 64, 0)
+    with pytest.raises(ConfigurationError, match="negative payload"):
+        fabric.send(2, 2, -5, 64)
+
+
 def test_route_to_self_rejected():
     fabric = Fabric(Engine(), NVLINK1, num_gpus=4)
     with pytest.raises(ConfigurationError):

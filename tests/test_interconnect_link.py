@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.interconnect import NVLINK_FORMAT, PCIE3_FORMAT, Link
-from repro.interconnect.route import InfiniteRoute, Route
+from repro.interconnect.route import InfiniteRoute, LoopbackRoute, Route
 from repro.sim import Engine
 
 
@@ -128,6 +128,21 @@ def test_route_validation():
         route.transfer(-1, access_size=4)
     with pytest.raises(ConfigurationError):
         route.transfer(100, access_size=0)
+
+
+@pytest.mark.parametrize("make_route", [
+    lambda engine, link: Route(engine, 0, 1, [link], latency=0.0),
+    lambda engine, link: InfiniteRoute(engine, 0, 1, link),
+    lambda engine, link: LoopbackRoute(engine, 0, link),
+], ids=["route", "infinite", "loopback"])
+def test_every_route_flavour_validates_its_arguments(make_route):
+    engine = Engine()
+    route = make_route(engine, make_link(engine))
+    with pytest.raises(ConfigurationError, match="negative payload"):
+        route.transfer(-5, access_size=4)
+    with pytest.raises(ConfigurationError, match="access size"):
+        route.transfer(100, access_size=0)
+    assert engine.events_scheduled == 0
 
 
 def test_infinite_route_is_instantaneous():

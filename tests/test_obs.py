@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.hw import platform_by_name
 from repro.obs import (
     MetricsRegistry,
     NULL_METRICS,
@@ -359,12 +360,12 @@ def test_capture_scope_hands_systems_tracers():
     assert active() is None
     with capture() as observation:
         assert active() is observation
-        system = System.from_name("4x_volta")
+        system = System(platform_by_name("4x_volta"))
         assert system.tracer.enabled
         assert system.metrics is observation.metrics
         with suppress():
             assert active() is None
-            hidden = System.from_name("4x_volta")
+            hidden = System(platform_by_name("4x_volta"))
             assert hidden.tracer is NULL_TRACER
         assert active() is observation
     assert active() is None
@@ -377,7 +378,7 @@ def test_capture_scope_hands_systems_tracers():
 def test_unobserved_system_costs_nothing():
     from repro.runtime import System
 
-    system = System.from_name("4x_volta")
+    system = System(platform_by_name("4x_volta"))
     assert system.tracer is NULL_TRACER
     assert not system.metrics.enabled
     system.finish_observation()  # must be a silent no-op

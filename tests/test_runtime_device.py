@@ -13,20 +13,23 @@ from repro.units import MiB
 # ---------------------------------------------------------------------------
 
 def test_system_from_name():
-    system = System.from_name("4x_volta")
+    with pytest.warns(DeprecationWarning, match="from_name"):
+        system = System.from_name("4x_volta")
     assert system.num_gpus == 4
     assert len(system.devices) == 4
     assert system.spec.gpu.arch == "Volta"
 
 
 def test_system_num_gpus_override():
-    system = System.from_name("16x_volta", num_gpus=8)
+    with pytest.warns(DeprecationWarning, match="from_name"):
+        system = System.from_name("16x_volta", num_gpus=8)
     assert system.num_gpus == 8
     assert len(system.fabric.links) == 16  # 8 up + 8 down on the switch
 
 
 def test_system_unknown_name_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError), \
+            pytest.warns(DeprecationWarning, match="from_name"):
         System.from_name("no_such_system")
 
 
