@@ -6,16 +6,16 @@ Three numbers, written to ``benchmarks/results/BENCH_engine.json``:
 * the reference profiler sweep's wall time (exhaustive, unpruned) —
   the same sweep measured at the pre-PR commit, so the ratio is the
   speedup from the engine/interconnect/fluid fast paths alone;
-* the same sweep with lower-bound pruning — the headline speedup the
-  overhaul ships.  It runs ``PRUNED_ROUNDS`` times and the gate reads
-  the median, so one noisy round cannot decide pass or fail; the
-  fastest and slowest rounds are recorded next to it.
+* the same grid under the default ``search`` strategy (floor-pruned) —
+  the headline speedup the overhaul ships.  It runs ``SEARCH_ROUNDS``
+  times and the gate reads the median, so one noisy round cannot decide
+  pass or fail; the fastest and slowest rounds are recorded next to it.
 
 The speedup gate is only meaningful because the *results* are pinned:
 the sweep must reproduce the pre-PR best configuration and its runtime
-bit-for-bit, and the pruned sweep must match the unpruned one entry for
-entry.  A fast simulator that simulates something else would fail here
-first.
+bit-for-bit, and every entry the search measures must match the
+exhaustive sweep's.  A fast simulator that simulates something else
+would fail here first.
 
 Pre-PR reference: commit 3808a03 ("Add simulation correctness layer"),
 re-measured on an idle reference container when this job became
@@ -51,8 +51,8 @@ SWEEP_THREADS = (512, 2048)
 
 #: Acceptance floor: profiler sweep at least this much faster end-to-end.
 REQUIRED_SPEEDUP = 1.5
-#: Rounds of the pruned sweep; the gate reads their median.
-PRUNED_ROUNDS = 3
+#: Rounds of the search sweep; the gate reads their median.
+SEARCH_ROUNDS = 3
 
 
 def _spin(engine, n):
@@ -70,11 +70,11 @@ def events_per_sec() -> float:
     return engine.events_fired / (time.perf_counter() - t0)
 
 
-def _sweep(prune: bool):
+def _sweep(strategy: str):
     profiler = Profiler(platform_by_name("4x_volta"),
                         chunk_sizes=SWEEP_CHUNKS,
                         thread_counts=SWEEP_THREADS,
-                        search="exhaustive", prune=prune)
+                        strategy=strategy)
     builder = PageRankWorkload().phase_builder()
     t0 = time.perf_counter()
     result = profiler.profile(builder)
@@ -82,7 +82,7 @@ def _sweep(prune: bool):
 
 
 def test_engine_perf_overhaul(benchmark, results_dir):
-    result, unpruned_s = _sweep(prune=False)
+    result, unpruned_s = _sweep("exhaustive")
 
     # Byte-identity first: the optimized hot paths must reproduce the
     # pre-PR sweep exactly — same winner, bitwise-equal runtime, full
@@ -93,20 +93,20 @@ def test_engine_perf_overhaul(benchmark, results_dir):
 
     rounds = []
 
-    def pruned_round():
-        rounds.append(_sweep(prune=True))
+    def search_round():
+        rounds.append(_sweep("search"))
 
-    benchmark.pedantic(pruned_round, rounds=PRUNED_ROUNDS, iterations=1)
+    benchmark.pedantic(search_round, rounds=SEARCH_ROUNDS, iterations=1)
     measured = {entry.config: entry.runtime for entry in result.entries}
-    for pruned, _seconds in rounds:
-        assert pruned.best.config == result.best.config
-        assert pruned.best.runtime == result.best.runtime
-        for entry in pruned.entries:
+    for searched, _seconds in rounds:
+        assert searched.best.config == result.best.config
+        assert searched.best.runtime == result.best.runtime
+        for entry in searched.entries:
             assert measured[entry.config] == entry.runtime
-        assert (len(pruned.entries) + pruned.pruned_configs
+        assert (len(searched.entries) + searched.pruned_configs
                 == len(result.entries))
-    pruned_times = [seconds for _pruned, seconds in rounds]
-    pruned_s = statistics.median(pruned_times)
+    search_times = [seconds for _searched, seconds in rounds]
+    search_s = statistics.median(search_times)
 
     eps = events_per_sec()
     # Rescale the pinned baseline to this host: the canary ran the same
@@ -115,7 +115,7 @@ def test_engine_perf_overhaul(benchmark, results_dir):
     machine_factor = eps / BASELINE_EVENTS_PER_SEC
     effective_baseline_s = BASELINE_SWEEP_S * machine_factor
     engine_speedup = effective_baseline_s / unpruned_s
-    total_speedup = effective_baseline_s / pruned_s
+    total_speedup = effective_baseline_s / search_s
 
     datapoint = {
         "benchmark": "engine_perf",
@@ -127,14 +127,14 @@ def test_engine_perf_overhaul(benchmark, results_dir):
         "events_per_sec": round(eps),
         "events_per_sec_speedup": round(eps / BASELINE_EVENTS_PER_SEC, 3),
         "sweep_s": round(unpruned_s, 3),
-        "sweep_pruned_s": round(pruned_s, 3),
-        "sweep_pruned_min_s": round(min(pruned_times), 3),
-        "sweep_pruned_max_s": round(max(pruned_times), 3),
-        "sweep_pruned_rounds": PRUNED_ROUNDS,
+        "sweep_search_s": round(search_s, 3),
+        "sweep_search_min_s": round(min(search_times), 3),
+        "sweep_search_max_s": round(max(search_times), 3),
+        "sweep_search_rounds": SEARCH_ROUNDS,
         "engine_speedup": round(engine_speedup, 3),
         "total_speedup": round(total_speedup, 3),
-        "pruned_configs": pruned.pruned_configs,
-        "floor_runs": pruned.floor_runs,
+        "pruned_configs": searched.pruned_configs,
+        "floor_runs": searched.floor_runs,
         "best": result.best_config.label(),
         "best_runtime": result.best.runtime,
         "identical_results": True,
@@ -143,7 +143,7 @@ def test_engine_perf_overhaul(benchmark, results_dir):
     path.write_text(json.dumps(datapoint, indent=2, sort_keys=True) + "\n")
 
     # The engine fast paths alone must never regress the sweep, and the
-    # full overhaul (fast paths + pruning) must clear the acceptance bar.
+    # full overhaul (fast paths + search) must clear the acceptance bar.
     assert engine_speedup > 1.0, (
         f"unpruned sweep regressed: {unpruned_s:.2f}s vs "
         f"baseline {BASELINE_SWEEP_S:.2f}s")

@@ -6,9 +6,10 @@ granularity, and transfer-thread count for one application/platform pair,
 print the whole profile, and report the configuration the framework would
 bake into the compiled binary (one cell of Table II).
 
-The sweep goes through ``Session.profile``; pass ``--exhaustive`` to run
-the brute-force grid with the infinite-bandwidth lower-bound pruning
-(identical winner, fewer full measurements).
+The sweep goes through ``Session.profile``, whose default ``search``
+strategy skips configurations whose infinite-bandwidth lower bound
+cannot win; pass ``--exhaustive`` to measure the whole grid instead
+(identical winner, more full measurements).
 
 Run:  python examples/autotune_jacobi.py [platform] [--exhaustive]
       (platform defaults to 4x_pascal; see repro.hw.PLATFORMS)
@@ -29,15 +30,14 @@ def main() -> None:
     session = Session(platform_name)
     workload = JacobiWorkload()
 
-    search = "exhaustive" if exhaustive else "coordinate"
+    strategy = "exhaustive" if exhaustive else "search"
     print(f"Profiling {workload.name} on {session.platform.name} "
-          f"({search} search{', pruned' if exhaustive else ''})...\n")
+          f"({strategy} strategy)...\n")
     profile = session.profile(
         workload,
         chunk_sizes=(16 * KiB, 128 * KiB, 1 * MiB, 4 * MiB),
         thread_counts=(256, 1024, 2048, 4096),
-        search=search,
-        prune=exhaustive,
+        strategy=strategy,
     )
 
     table = TextTable(
@@ -54,7 +54,11 @@ def main() -> None:
     best = profile.best
     print(f"\nChosen configuration (Table II cell): {best.config.label()}"
           f" at {format_time(best.runtime)}")
+    measured = {entry.config.mechanism for entry in profile.entries}
     for mechanism in ("inline", "polling", "cdp"):
+        if mechanism not in measured:
+            print(f"  best {mechanism:8s}: pruned (cannot win)")
+            continue
         entry = profile.best_for_mechanism(mechanism)
         print(f"  best {mechanism:8s}: {entry.config.label():20s} "
               f"{format_time(entry.runtime)}")

@@ -191,8 +191,9 @@ class CollectiveTuner:
         # Candidate runs build throwaway systems; keep them out of the
         # ambient trace so observed runs look identical across backends
         # (workers never see the parent's scope).
-        with suppress_observation():
-            entries = self.backend.run_tasks(measure_candidate, tasks)
+        with suppress_observation(), \
+                self.backend.open_session(measure_candidate) as session:
+            entries = session.map(tasks)
         result = CollectiveTuneResult(collective=self.collective,
                                       nbytes=nbytes, entries=entries)
         self._observe(nbytes, entries)

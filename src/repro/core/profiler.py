@@ -7,22 +7,18 @@ with the best end-to-end runtime.  The result is then baked into the
 compiled configuration, exactly as the paper's framework emits the chosen
 parameters into the generated code.
 
-Three search modes:
+Two strategies:
 
-* ``"exhaustive"`` — the paper's brute force over the full grid;
-* ``"coordinate"`` (default) — sweep granularity at the largest thread
-  count, then threads at the best granularity; dramatically cheaper and
-  picks the same optimum whenever the two knobs are separable (they are,
-  in all the paper's workloads: granularity trades initiation against
-  tail, threads only gate copy bandwidth);
-* ``"search"`` — the floor-seeded autotuner (:meth:`Profiler.search`):
-  rank the grid by its infinite-bandwidth lower bounds, measure an
-  opening rung, hill-climb the (chunk x threads x mechanism) neighborhood
-  of the incumbent, then *certify* the answer by measuring every
-  remaining candidate whose floor could still win.  Because a candidate
-  is only ever skipped when its floor strictly exceeds the best measured
-  runtime, the chosen configuration is provably the exhaustive argmin —
-  the search just pays for far fewer full measurements.
+* ``"search"`` (default) — the floor-certified autotuner: rank the grid
+  by its infinite-bandwidth lower bounds, measure an opening rung,
+  hill-climb the (chunk x threads x mechanism) neighborhood of the
+  incumbent, then *certify* the answer by measuring every remaining
+  candidate whose floor could still win;
+* ``"exhaustive"`` — the paper's brute force over the full grid, kept
+  as the oracle that ``search`` is checked against.
+
+Both return the same :attr:`ProfileResult.best`: ``search`` just pays
+for far fewer full measurements.
 
 Execution backends
 ------------------
@@ -33,7 +29,8 @@ embarrassingly parallel.  The profiler hands its measurements to an
 :class:`ExecutorBackend`:
 
 * :class:`SerialBackend` (default) measures in-process, one by one;
-* :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep.
+* :class:`ProcessPoolBackend` keeps a pool of **warm workers** per sweep
+  (``ProcessPoolBackend(1)`` runs serially).
 
 The warm-worker protocol is what makes parallel sweeps actually pay off:
 the profiler opens one :class:`TaskSession` per ``profile()`` call, the
@@ -42,9 +39,8 @@ expensive part) to each worker exactly once at pool init, and every
 subsequent task crossing the queue is a lightweight config delta —
 ``(mechanism, chunk_size, threads, kind)`` tuples — batched to amortize
 queue round-trips.  Results come back in task order, so both backends
-produce byte-identical :class:`ProfileEntry` lists;
-:class:`ParallelProfiler` is a convenience wrapper selecting the
-process-pool backend.
+produce byte-identical exhaustive :class:`ProfileEntry` lists and the
+same ``search`` winner.
 
 A worker process that dies mid-sweep (OOM kill, segfault, ``os._exit``)
 surfaces as a :class:`~repro.errors.ProactError` naming the in-flight
@@ -52,34 +48,26 @@ tasks instead of poisoning the pool silently.
 
 Ties on runtime are broken toward the smallest ``(chunk_size,
 transfer_threads)`` (then mechanism name), so the chosen configuration is
-reproducible across search modes, backends, and entry orderings.
+reproducible across strategies, backends, and entry orderings.
 
-Lower-bound pruning
--------------------
+Why ``search`` is exact
+-----------------------
 
-``Profiler(..., search="exhaustive", prune=True)`` skips configurations
-that provably cannot win.  For each candidate the profiler first runs the
-application under an *infinite-bandwidth* fabric — transfers complete
-instantly, so the run is far cheaper to simulate (no per-quantum link
-events) and its runtime is a true lower bound on the real measurement
-(removing all interconnect time can only shorten the schedule; with
-``infinite_bw`` the decoupled agents also drop their copy-bandwidth
-throttle).  A candidate whose floor *strictly* exceeds the best runtime
-measured so far is skipped: its real runtime would satisfy
-``runtime >= floor > incumbent``, so it can neither be the argmin nor tie
-the minimum.  Every entry the unpruned sweep would rank first — including
-all runtime ties — is therefore still measured, and
-:attr:`ProfileResult.best` is identical to brute force.
-
-Pruning is restricted to exhaustive search because coordinate search's
-second wave *depends on* the first wave's per-mechanism winners; removing
-first-wave points could redirect the second wave.  The floors for the
-whole grid are computed first (they are cheap and embarrassingly
-parallel), candidates are then visited **best-first** — smallest floor
-first — so the incumbent is tight almost immediately and pruning
-compounds with parallelism: on a parallel backend the sweep measures one
-backend-width wave at a time, re-checking every candidate's floor against
-the freshest incumbent between waves.
+For each candidate the profiler first runs the application under an
+*infinite-bandwidth* fabric — transfers complete instantly, so the run
+is far cheaper to simulate (no per-quantum link events) and its runtime
+is a true lower bound on the real measurement (removing all
+interconnect time can only shorten the schedule; with ``infinite_bw``
+the decoupled agents also drop their copy-bandwidth throttle).  A
+candidate is skipped only when its floor *strictly* exceeds the best
+runtime measured so far: its real runtime would satisfy ``runtime >=
+floor > incumbent``, so it can neither be the argmin nor tie the
+minimum.  Every entry brute force would rank first — including all
+runtime ties — is therefore still measured, and
+:attr:`ProfileResult.best` is identical to the exhaustive answer.
+Certification visits candidates **best-first** (smallest floor first)
+in backend-width waves, re-checking every floor against the freshest
+incumbent between waves.
 
 Sweep telemetry
 ---------------
@@ -148,8 +136,8 @@ from repro.runtime.system import System
 #: A phase builder produces the application's phases for a given system.
 PhaseBuilder = Callable[[System], List[List[GpuPhaseWork]]]
 
-#: The recognized search modes (see the module docstring).
-SEARCH_MODES: Tuple[str, ...] = ("coordinate", "exhaustive", "search")
+#: The recognized strategies (see the module docstring).
+STRATEGIES: Tuple[str, ...] = ("search", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -165,8 +153,8 @@ def _entry_order(entry: ProfileEntry) -> Tuple[float, int, int, str]:
 
     Runtime ties resolve toward the smallest ``(chunk_size,
     transfer_threads)`` and finally the mechanism name, so the winner
-    does not depend on the order entries were measured in (coordinate
-    vs. exhaustive search, serial vs. parallel backends).
+    does not depend on the order entries were measured in (search vs.
+    exhaustive, serial vs. parallel backends).
     """
     return (entry.runtime, entry.config.chunk_size,
             entry.config.transfer_threads, entry.config.mechanism)
@@ -181,9 +169,9 @@ def _config_order(config: ProactConfig) -> Tuple[int, int, str]:
 class ProfileResult:
     """Outcome of a profiling pass.
 
-    ``pruned_configs``/``floor_runs`` are only non-zero for pruned and
-    searched sweeps: how many candidates were skipped outright, and how
-    many infinite-bandwidth floor simulations were paid to decide.
+    ``pruned_configs``/``floor_runs`` are only non-zero for ``search``
+    sweeps: how many candidates were skipped outright, and how many
+    infinite-bandwidth floor simulations were paid to decide.
     """
 
     entries: List[ProfileEntry]
@@ -341,16 +329,14 @@ class TaskSession:
         self.close()
 
 
-class _FallbackSession(TaskSession):
-    """A session for backends that only implement ``run_tasks``."""
+class _SerialSession(TaskSession):
+    """Apply the task function in-process, one task at a time."""
 
-    def __init__(self, backend: "ExecutorBackend",
-                 fn: Callable[[Any], Any]) -> None:
-        self.backend = backend
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
 
     def map(self, tasks: Sequence[Any]) -> List[Any]:
-        return self.backend.run_tasks(self.fn, tasks)
+        return [self.fn(task) for task in tasks]
 
 
 class _WarmPoolSession(TaskSession):
@@ -409,53 +395,31 @@ class _WarmPoolSession(TaskSession):
 class ExecutorBackend:
     """Strategy for measuring independent tasks.
 
-    ``run_tasks`` is the generic one-shot seam: apply a picklable pure
-    function to a sequence of independent tasks and return the results
-    in task order.  The collective tuner's (algorithm x chunk size)
-    sweep (:mod:`repro.collectives.tuner`) rides it — any embarrassingly
-    parallel measurement loop gets serial and process-pool execution for
-    free.
-
-    ``open_session`` is the sweep-scoped seam the profiler uses: the
-    task function is shipped to the execution substrate once, and the
+    ``open_session`` is the one seam: the task function (a picklable
+    pure function) is shipped to the execution substrate once, and the
     returned :class:`TaskSession` maps many waves of lightweight tasks
-    against it.  The default implementation simply routes each ``map``
-    through ``run_tasks``, so custom backends that only override
-    ``run_tasks`` keep working.
+    against it, returning results in task order.  The profiler and the
+    collective tuner (:mod:`repro.collectives.tuner`) both ride it, so
+    any embarrassingly parallel measurement loop gets serial and
+    process-pool execution for free.
 
     ``parallelism`` is how many tasks the backend can usefully run at
-    once; the pruned/search sweeps use it to size their measurement
-    waves (one incumbent update per wave).
-
-    ``measure_wave`` must return entries in the same order as
-    ``configs``; callers rely on positional correspondence.
+    once; the ``search`` sweep uses it to size its measurement waves
+    (one incumbent update per wave).
     """
 
-    #: Concurrent task capacity (wave sizing for pruned/search sweeps).
+    #: Concurrent task capacity (wave sizing for ``search`` sweeps).
     parallelism: int = 1
 
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        raise NotImplementedError
-
     def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
-        return _FallbackSession(self, fn)
-
-    def measure_wave(self, platform: PlatformSpec,
-                     configs: Sequence[ProactConfig],
-                     phase_builder: PhaseBuilder) -> List[ProfileEntry]:
-        return self.run_tasks(
-            functools.partial(measure_config, platform,
-                              phase_builder=phase_builder),
-            configs)
+        raise NotImplementedError
 
 
 class SerialBackend(ExecutorBackend):
     """Measure in-process, one task at a time."""
 
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        return [fn(task) for task in tasks]
+    def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
+        return _SerialSession(fn)
 
 
 class ProcessPoolBackend(ExecutorBackend):
@@ -469,11 +433,9 @@ class ProcessPoolBackend(ExecutorBackend):
 
     The pool is *warm*: opened once per sweep session with the task
     function pre-installed in every worker, after which only small task
-    tuples cross the queue (see the module docstring).  One-shot
-    ``run_tasks`` calls get the same treatment — the function is still
-    shipped once, not once per task.  A worker that dies mid-sweep
-    raises :class:`~repro.errors.ProactError` naming the in-flight
-    batch.
+    tuples cross the queue (see the module docstring).  ``jobs=1`` runs
+    serially in-process.  A worker that dies mid-sweep raises
+    :class:`~repro.errors.ProactError` naming the in-flight batch.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -487,17 +449,8 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def open_session(self, fn: Callable[[Any], Any]) -> TaskSession:
         if self.jobs == 1:
-            return _FallbackSession(SerialBackend(), fn)
+            return _SerialSession(fn)
         return _WarmPoolSession(fn, self.jobs)
-
-    def run_tasks(self, fn: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> List[Any]:
-        if not tasks:
-            return []
-        if min(self.jobs, len(tasks)) == 1:
-            return SerialBackend().run_tasks(fn, tasks)
-        with self.open_session(fn) as session:
-            return session.map(tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -796,23 +749,16 @@ class Profiler:
                  chunk_sizes: Sequence[int] = PROFILE_CHUNK_SIZES,
                  thread_counts: Sequence[int] = PROFILE_THREAD_COUNTS,
                  mechanisms: Sequence[str] = ALL_MECHANISMS,
-                 search: str = "coordinate",
+                 strategy: str = "search",
                  backend: Optional[ExecutorBackend] = None,
-                 prune: bool = False,
                  progress: ProgressSink = None,
                  toggles: Optional[Mechanisms] = None) -> None:
-        if search not in SEARCH_MODES:
+        if strategy not in STRATEGIES:
             raise ProactError(
-                f"unknown search mode {search!r}; "
-                f"expected one of {SEARCH_MODES}")
+                f"unknown strategy {strategy!r}; "
+                f"expected one of {STRATEGIES}")
         if not chunk_sizes or not thread_counts or not mechanisms:
             raise ProactError("profiler needs non-empty sweep ranges")
-        if prune and search != "exhaustive":
-            raise ProactError(
-                "prune=True requires search='exhaustive': coordinate "
-                "search's second wave depends on unpruned first-wave "
-                "winners, and 'search' already prunes via its floor "
-                "certification")
         #: Mechanism-ablation policy applied to every measurement
         #: (``None`` = all on).  With ``decoupled_agent`` ablated the
         #: sweep space collapses to inline only.
@@ -827,11 +773,8 @@ class Profiler:
         self.chunk_sizes = tuple(sorted(chunk_sizes))
         self.thread_counts = tuple(sorted(thread_counts))
         self.mechanisms = tuple(mechanisms)
-        #: The configured mode string; ``search`` itself is the
-        #: autotuner entry point, hence the attribute name.
-        self.search_mode = search
+        self.strategy = strategy
         self.backend = backend or SerialBackend()
-        self.prune = prune
         #: Live-progress sink: True for stderr, or a callback taking
         #: :class:`SweepProgress` snapshots (independent of capture).
         self.progress = progress
@@ -843,20 +786,17 @@ class Profiler:
         (given deterministic tie-breaking) choose the same winner, so the
         signature is what :class:`~repro.core.cache.ProfileStore` keys
         cached results by.  The backend is deliberately excluded —
-        parallel and serial sweeps share cache hits (the ``search`` mode
-        also guarantees a backend-independent winner: its certification
-        step makes the argmin exhaustive-exact even though the set of
-        measured entries may differ by backend).
+        parallel and serial sweeps share cache hits (``search`` also
+        guarantees a backend-independent winner: its certification step
+        makes the argmin exhaustive-exact even though the set of
+        measured entries may differ by backend).  The strategy is
+        included because the two record different entry lists.
         """
         chunks = ",".join(str(size) for size in self.chunk_sizes)
         threads = ",".join(str(count) for count in self.thread_counts)
         mechanisms = ",".join(self.mechanisms)
-        signature = (f"{self.search_mode}|mech={mechanisms}|chunks={chunks}"
+        signature = (f"{self.strategy}|mech={mechanisms}|chunks={chunks}"
                      f"|threads={threads}")
-        if self.prune:
-            # A pruned sweep picks the same winner but records fewer
-            # entries, so it must not share cache hits with brute force.
-            signature += "|pruned"
         if self.toggles is not None and not self.toggles.all_enabled:
             # Ablated sweeps measure a different model; never share
             # cache hits with the unablated grid.
@@ -870,30 +810,13 @@ class Profiler:
             return _stderr_progress
         return None
 
-    def _planned_configs(self) -> int:
-        """How many grid candidates this sweep will decide on (ETA math).
-
-        Coordinate search never visits the full grid: per non-inline
-        mechanism it measures one chunk sweep at the top thread count
-        plus the remaining thread counts at the winning chunk.
-        """
-        if self.search_mode == "coordinate":
-            total = 0
-            for mechanism in self.mechanisms:
-                if mechanism == MECH_INLINE:
-                    total += 1
-                else:
-                    total += len(self.chunk_sizes) + len(self.thread_counts) - 1
-            return total
-        return len(self._full_grid())
-
     def _sweep_telemetry(self) -> _SweepTelemetry:
         """Per-sweep telemetry controller (inert unless opted in)."""
         observation = active_observation()
         if observation is not None and not observation.sweeps:
             observation = None
         return _SweepTelemetry(observation, self._progress_sink(),
-                               total=self._planned_configs(),
+                               total=len(self._full_grid()),
                                workers=max(1, self.backend.parallelism),
                                platform=self.platform.name)
 
@@ -916,59 +839,12 @@ class Profiler:
         return self.backend.open_session(fn)
 
     def profile(self, phase_builder: PhaseBuilder) -> ProfileResult:
-        """Run the sweep for one application.
-
-        The search is planned as waves of independent measurements so
-        any backend (serial or parallel) produces identical entries in
-        identical order: first every mechanism's opening sweep, then —
-        for coordinate search — the thread sweep at each mechanism's
-        best granularity.  ``search="search"`` dispatches to
-        :meth:`search`; ``prune=True`` to the best-first pruned sweep.
-        """
+        """Run the sweep for one application under :attr:`strategy`."""
         telemetry = self._sweep_telemetry()
         with self._open_session(phase_builder, telemetry) as session:
-            if self.search_mode == "search":
+            if self.strategy == "search":
                 return self._profile_search(session, telemetry)
-            if self.prune:
-                return self._profile_pruned(session, telemetry)
-            first_wave = {mechanism: self._first_wave(mechanism)
-                          for mechanism in self.mechanisms}
-            measured = self._split_by_mechanism(
-                first_wave,
-                self._measure_wave(first_wave, session, telemetry))
-
-            if self.search_mode == "coordinate":
-                second_wave = {
-                    mechanism: self._thread_sweep(mechanism,
-                                                  measured[mechanism])
-                    for mechanism in self.mechanisms}
-                second = self._split_by_mechanism(
-                    second_wave,
-                    self._measure_wave(second_wave, session, telemetry))
-                for mechanism in self.mechanisms:
-                    measured[mechanism].extend(second[mechanism])
-
-            telemetry.done()
-            return ProfileResult(entries=[
-                entry for mechanism in self.mechanisms
-                for entry in measured[mechanism]])
-
-    def search(self, phase_builder: PhaseBuilder) -> ProfileResult:
-        """Search-based autotuning: exhaustive argmin, far fewer runs.
-
-        Works from any profiler regardless of its configured mode.  The
-        loop (see the module docstring): compute the infinite-bandwidth
-        floor for every grid point (cheap, fully parallel), measure an
-        opening rung of the floor ranking, hill-climb the incumbent's
-        (chunk x threads x mechanism) neighborhood, then certify by
-        measuring every remaining candidate whose floor does not
-        strictly exceed the incumbent.  Skipping only on
-        ``floor > incumbent`` makes the result provably identical to the
-        exhaustive argmin (including tie-breaks).
-        """
-        telemetry = self._sweep_telemetry()
-        with self._open_session(phase_builder, telemetry) as session:
-            return self._profile_search(session, telemetry)
+            return self._profile_exhaustive(session, telemetry)
 
     # ------------------------------------------------------------------
     # Grid helpers
@@ -1007,53 +883,24 @@ class Profiler:
                       key=lambda c: (floors[c], _config_order(c)))
 
     # ------------------------------------------------------------------
-    # Lower-bound pruning (exhaustive search only)
+    # Brute force (the oracle)
     # ------------------------------------------------------------------
-    def _profile_pruned(self, session: TaskSession,
-                        telemetry: _SweepTelemetry) -> ProfileResult:
-        """Best-first exhaustive sweep under the infinite-BW lower bound.
-
-        Skips a candidate only when ``floor > incumbent`` *strictly*, so
-        every entry that could be the argmin — or tie it — is measured;
-        see the module docstring for the soundness argument.  Candidates
-        are measured one backend-width wave at a time so the incumbent
-        tightens as early as parallelism allows; the serial wave size of
-        one reproduces the classic sequential pruning loop.
-        """
-        candidates = self._full_grid()
-        floors = self._floors(candidates, session, telemetry)
-        ordered = self._best_first(candidates, floors)
-        wave_size = max(1, self.backend.parallelism)
-
-        entries: List[ProfileEntry] = []
-        pruned = 0
-        incumbent = math.inf
-        cursor = 0
-        while cursor < len(ordered):
-            wave: List[ProactConfig] = []
-            while cursor < len(ordered) and len(wave) < wave_size:
-                config = ordered[cursor]
-                cursor += 1
-                if floors[config] > incumbent:
-                    pruned += 1
-                    telemetry.pruned_config(config, floors[config],
-                                            incumbent)
-                    continue
-                wave.append(config)
-            if not wave:
-                continue
-            with suppress_observation():
-                measured = session.map([_measure_task(config)
-                                        for config in wave])
-            entries.extend(measured)
-            telemetry.measured_entries(measured)
-            incumbent = min(incumbent,
-                            min(entry.runtime for entry in measured))
-            telemetry.tick("measure")
+    def _profile_exhaustive(self, session: TaskSession,
+                            telemetry: _SweepTelemetry) -> ProfileResult:
+        """Measure every grid point in one wave, in grid order."""
+        # Candidate measurements build hundreds of throwaway systems;
+        # suppress the ambient observation so they do not flood the
+        # trace (and so serial and process-pool backends — where workers
+        # never see the parent's scope — observe identically).  The
+        # per-candidate timings themselves are published afterwards.
+        with suppress_observation():
+            entries = session.map([_measure_task(config)
+                                   for config in self._full_grid()])
+        telemetry.measured_entries(entries)
+        telemetry.tick("measure")
         self._observe_entries(entries)
         telemetry.done()
-        return ProfileResult(entries=entries, pruned_configs=pruned,
-                             floor_runs=len(candidates))
+        return ProfileResult(entries=entries)
 
     # ------------------------------------------------------------------
     # Search-based autotuning
@@ -1166,51 +1013,8 @@ class Profiler:
             floor_runs=len(candidates))
 
     # ------------------------------------------------------------------
-    # Wave planning
+    # Telemetry
     # ------------------------------------------------------------------
-    def _first_wave(self, mechanism: str) -> List[ProactConfig]:
-        """Opening sweep for one mechanism (no data dependencies)."""
-        if mechanism == MECH_INLINE:
-            # Inline has no decoupled knobs; one representative point.
-            return [ProactConfig(MECH_INLINE, self.chunk_sizes[0],
-                                 self.thread_counts[0])]
-        if self.search_mode == "exhaustive":
-            return [ProactConfig(mechanism, chunk_size, threads)
-                    for chunk_size in self.chunk_sizes
-                    for threads in self.thread_counts]
-        return [ProactConfig(mechanism, chunk_size, self.thread_counts[-1])
-                for chunk_size in self.chunk_sizes]
-
-    def _thread_sweep(self, mechanism: str,
-                      chunk_entries: Sequence[ProfileEntry],
-                      ) -> List[ProactConfig]:
-        """Coordinate search's second stage: threads at the best chunk."""
-        if mechanism == MECH_INLINE:
-            return []
-        best_chunk = min(chunk_entries, key=_entry_order).config.chunk_size
-        return [ProactConfig(mechanism, best_chunk, threads)
-                for threads in self.thread_counts[:-1]]
-
-    def _measure_wave(self, wave: Dict[str, List[ProactConfig]],
-                      session: TaskSession,
-                      telemetry: Optional[_SweepTelemetry] = None,
-                      ) -> List[ProfileEntry]:
-        flat = [config for mechanism in self.mechanisms
-                for config in wave[mechanism]]
-        # Candidate measurements build hundreds of throwaway systems;
-        # suppress the ambient observation so they do not flood the
-        # trace (and so serial and process-pool backends — where workers
-        # never see the parent's scope — observe identically).  The
-        # per-candidate timings themselves are published afterwards.
-        with suppress_observation():
-            entries = session.map([_measure_task(config)
-                                   for config in flat])
-        if telemetry is not None:
-            telemetry.measured_entries(entries)
-            telemetry.tick("measure")
-        self._observe_entries(entries)
-        return entries
-
     def _observe_entries(self, entries: Sequence[ProfileEntry]) -> None:
         """Publish per-candidate sweep timings to the ambient scope."""
         observation = active_observation()
@@ -1229,46 +1033,3 @@ class Profiler:
             observation.metrics.inc(
                 "profile_candidates", platform=self.platform.name,
                 mechanism=config.mechanism)
-
-    def _split_by_mechanism(self, wave: Dict[str, List[ProactConfig]],
-                            entries: Sequence[ProfileEntry],
-                            ) -> Dict[str, List[ProfileEntry]]:
-        split: Dict[str, List[ProfileEntry]] = {}
-        cursor = 0
-        for mechanism in self.mechanisms:
-            count = len(wave[mechanism])
-            split[mechanism] = list(entries[cursor:cursor + count])
-            cursor += count
-        return split
-
-    def _measure(self, config: ProactConfig,
-                 phase_builder: PhaseBuilder) -> ProfileEntry:
-        return measure_config(self.platform, config, phase_builder,
-                              toggles=self.toggles)
-
-
-class ParallelProfiler(Profiler):
-    """A :class:`Profiler` that fans each sweep over warm workers.
-
-    ``ParallelProfiler(platform, jobs=4)`` returns entries identical to
-    ``Profiler(platform)`` — same configs, same runtimes, same order for
-    the coordinate and exhaustive modes — the sweep just completes up to
-    ``jobs`` times faster.  The pruned and search modes additionally use
-    ``jobs`` to size their measurement waves; their chosen configuration
-    (and its bitwise runtime) is still identical to the serial answer.
-    """
-
-    def __init__(self, platform: PlatformSpec,
-                 chunk_sizes: Sequence[int] = PROFILE_CHUNK_SIZES,
-                 thread_counts: Sequence[int] = PROFILE_THREAD_COUNTS,
-                 mechanisms: Sequence[str] = ALL_MECHANISMS,
-                 search: str = "coordinate",
-                 jobs: int = 2,
-                 prune: bool = False,
-                 progress: ProgressSink = None,
-                 toggles: Optional[Mechanisms] = None) -> None:
-        super().__init__(platform, chunk_sizes=chunk_sizes,
-                         thread_counts=thread_counts, mechanisms=mechanisms,
-                         search=search, backend=ProcessPoolBackend(jobs),
-                         prune=prune, progress=progress, toggles=toggles)
-        self.jobs = jobs

@@ -150,8 +150,6 @@ class ProactPhaseExecutor:
                 "transfer agent, but the decoupled_agent mechanism is "
                 "ablated — use an inline configuration")
         self._phase_index = 0
-        if config.validate and not system.engine.sanitizer.enabled:
-            system._attach_validation()
 
     def execute(self, works: Sequence[GpuPhaseWork]):
         """Run one phase; returns the completion process (PhaseResult)."""

@@ -1,6 +1,6 @@
 """Search autotuner vs. exhaustive sweep: same answer, fewer runs.
 
-The ``"search"`` profiler mode (:meth:`repro.core.profiler.Profiler.search`)
+The ``"search"`` profiler strategy (:class:`repro.core.profiler.Profiler`)
 claims two things: its chosen configuration is *provably* the exhaustive
 argmin (the floor-certification step only ever skips candidates whose
 infinite-bandwidth lower bound strictly exceeds the measured incumbent),
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.profiler import ParallelProfiler, Profiler
+from repro.core.profiler import ProcessPoolBackend, Profiler
 from repro.errors import ProactError
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
@@ -32,14 +32,11 @@ SWEEP_THREAD_COUNTS = (512, 2048, 8192)
 FULL_THREAD_COUNTS = (512, 1024, 2048, 4096, 8192)
 
 
-def _profiler(platform: PlatformSpec, search: str,
+def _profiler(platform: PlatformSpec, strategy: str,
               thread_counts: Sequence[int], jobs: int) -> Profiler:
-    if jobs > 1:
-        return ParallelProfiler(platform, chunk_sizes=SWEEP_CHUNK_SIZES,
-                                thread_counts=thread_counts,
-                                search=search, jobs=jobs)
     return Profiler(platform, chunk_sizes=SWEEP_CHUNK_SIZES,
-                    thread_counts=thread_counts, search=search)
+                    thread_counts=thread_counts, strategy=strategy,
+                    backend=ProcessPoolBackend(jobs))
 
 
 def run(platform: Optional[PlatformSpec] = None,

@@ -18,7 +18,6 @@ Command line::
                                        [--trace PATH] [--metrics PATH]
                                        [--report PATH] [--sweep-telemetry]
                                        [--validate] [--list]
-                                       [--profile-strategy MODE]
                                        [--profile-jobs N]
 
 ``--trace`` captures every simulated system built by the selected
@@ -56,6 +55,7 @@ import time
 from typing import List, Optional, Sequence, TextIO
 
 from repro.experiments.registry import (
+    DEFAULT_PROFILE_POLICY,
     ExperimentContext,
     ExperimentResult,
     ProfilePolicy,
@@ -190,9 +190,7 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
             report_path: Optional[str] = None,
             sweep_telemetry: bool = False,
             validate: bool = False,
-            profile_strategy: str = "coordinate",
-            profile_jobs: int = 1,
-            profile: Optional[ProfilePolicy] = None
+            profile: ProfilePolicy = DEFAULT_PROFILE_POLICY
             ) -> List[ExperimentResult]:
     """Run the experiment suite, printing each table as it completes.
 
@@ -211,17 +209,13 @@ def run_all(quick: bool = True, out: Optional[TextIO] = None,
     every experiment under the readiness/conservation sanitizers; a
     tripped invariant records as that experiment's failure.
     ``profile`` is the :class:`~repro.experiments.registry.ProfilePolicy`
-    selecting the profiler search mode and warm-worker parallelism for
-    the sweep-driven experiments; the ``profile_strategy``/
-    ``profile_jobs`` spellings remain as deprecated aliases.
+    selecting the warm-worker parallelism of the sweep-driven
+    experiments.
     """
     stream = out or sys.stdout
     names = [spec.name for spec in select_specs(only)]
     observe = (trace_path is not None or metrics_path is not None
                or report_path is not None or sweep_telemetry)
-    if profile is None:
-        profile = ProfilePolicy(strategy=profile_strategy,
-                                jobs=profile_jobs)
     ctx = ExperimentContext(quick=quick, observe=observe,
                             validate=validate,
                             profile=profile,
@@ -288,12 +282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run every experiment under the readiness/conservation "
              "sanitizers; a tripped invariant fails the suite")
     parser.add_argument(
-        "--profile-strategy", default="coordinate", metavar="MODE",
-        choices=("coordinate", "exhaustive", "search"),
-        help="profiler search mode for sweep-driven experiments: "
-             "coordinate (default), exhaustive, or search (the "
-             "floor-seeded autotuner)")
-    parser.add_argument(
         "--profile-jobs", type=int, default=1, metavar="N",
         help="fan each profiler sweep over N warm worker processes "
              "(default: 1, serial)")
@@ -316,8 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       metrics_path=args.metrics, report_path=args.report,
                       sweep_telemetry=args.sweep_telemetry,
                       validate=args.validate,
-                      profile=ProfilePolicy(strategy=args.profile_strategy,
-                                            jobs=args.profile_jobs))
+                      profile=ProfilePolicy(jobs=args.profile_jobs))
     failures = suite_failures(results)
     if failures:
         for failure in failures:

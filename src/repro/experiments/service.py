@@ -85,7 +85,7 @@ def _check_plans_identical(service: ThreadedTuningService,
         if isinstance(query, ProfileQuery):
             direct = session.profile(
                 query.workload, strategy=query.strategy,
-                prune=query.prune, chunk_sizes=query.chunk_sizes,
+                chunk_sizes=query.chunk_sizes,
                 thread_counts=query.thread_counts,
                 mechanisms=query.mechanisms).best_config
         else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PROFILE_CHUNK_SIZES, PROFILE_THREAD_COUNTS
-from repro.core.profiler import ParallelProfiler, Profiler
+from repro.core.profiler import ProcessPoolBackend, Profiler
 from repro.experiments.registry import ExperimentContext, ExperimentResult
 from repro.experiments.report import TextTable
 from repro.hw.platform import FOUR_GPU_PLATFORMS, PlatformSpec
@@ -52,13 +52,11 @@ def run(platforms: Sequence[PlatformSpec] = FOUR_GPU_PLATFORMS,
         quick: bool = True,
         chunk_sizes: Optional[Sequence[int]] = None,
         thread_counts: Optional[Sequence[int]] = None,
-        search: str = "coordinate",
         jobs: int = 1) -> Table2Result:
     """Regenerate Table II by profiling every app on every platform.
 
-    ``search`` and ``jobs`` select the profiler's search mode and
-    warm-worker parallelism; the defaults reproduce the historical
-    serial coordinate sweep byte-for-byte.
+    Each cell is the exact argmin of the grid (the ``search`` profiler);
+    ``jobs`` fans each sweep over that many warm worker processes.
     """
     workload_list = list(workloads) if workloads else default_workloads()
     if chunk_sizes is None:
@@ -70,13 +68,9 @@ def run(platforms: Sequence[PlatformSpec] = FOUR_GPU_PLATFORMS,
         platforms=[p.name for p in platforms],
         workloads=[w.name for w in workload_list])
     for platform in platforms:
-        if jobs > 1:
-            profiler: Profiler = ParallelProfiler(
-                platform, chunk_sizes=chunk_sizes,
-                thread_counts=thread_counts, search=search, jobs=jobs)
-        else:
-            profiler = Profiler(platform, chunk_sizes=chunk_sizes,
-                                thread_counts=thread_counts, search=search)
+        profiler = Profiler(platform, chunk_sizes=chunk_sizes,
+                            thread_counts=thread_counts,
+                            backend=ProcessPoolBackend(jobs))
         for workload in workload_list:
             profile = profiler.profile(workload.phase_builder())
             best = profile.best
@@ -88,8 +82,7 @@ def run(platforms: Sequence[PlatformSpec] = FOUR_GPU_PLATFORMS,
 
 def experiment(ctx: ExperimentContext) -> ExperimentResult:
     """Registry entry point (see :mod:`repro.experiments.registry`)."""
-    result = run(quick=ctx.quick, search=ctx.profile.strategy,
-                 jobs=ctx.profile.jobs)
+    result = run(quick=ctx.quick, jobs=ctx.profile.jobs)
     decoupled = sum(1 for label in result.labels.values() if label != "I")
     return ExperimentResult.build(
         "table2", "Table II", [result.table()],

@@ -118,7 +118,7 @@ def capture(trace: bool = True,
     (worker lanes, decision log, sweep histograms)::
 
         with capture(sweeps=True) as obs:
-            Profiler(platform, search="exhaustive").profile(builder)
+            Profiler(platform).profile(builder)
         assert obs.decisions.count("measure")
     """
     with observing(Observation(trace=trace, verbose=verbose,

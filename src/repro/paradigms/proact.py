@@ -16,7 +16,6 @@ components; the default (``None``) leaves everything enabled.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from repro.core.config import (
@@ -81,19 +80,10 @@ class ProactDecoupledParadigm(_ProactParadigmBase):
 
     def __init__(self, config: ProactConfig = DEFAULT_CONFIG,
                  elide_transfers: bool = False,
-                 instrument: Optional[bool] = None,
                  mechanisms: Optional[Mechanisms] = None) -> None:
         if config.mechanism == MECH_INLINE:
             raise ValueError("decoupled paradigm needs a decoupled mechanism")
-        if instrument is not None:
-            warnings.warn(
-                "ProactDecoupledParadigm(instrument=...) is deprecated; "
-                "use mechanisms=Mechanisms(readiness_tracking=False) to "
-                "drop the tracking instrumentation (readiness overlap "
-                "included) or keep the default for the instrumented model",
-                DeprecationWarning, stacklevel=2)
         super().__init__(config, elide_transfers=elide_transfers,
-                         instrument=True if instrument is None else instrument,
                          mechanisms=mechanisms)
 
 

@@ -123,8 +123,7 @@ class ProfileQuery(TuningQuery):
 
     platform: PlatformLike
     workload: Any
-    strategy: str = "coordinate"
-    prune: bool = False
+    strategy: str = "search"
     chunk_sizes: Tuple[int, ...] = PROFILE_CHUNK_SIZES
     thread_counts: Tuple[int, ...] = PROFILE_THREAD_COUNTS
     mechanisms: Tuple[str, ...] = ALL_MECHANISMS
@@ -160,8 +159,7 @@ class ResolvedProfileQuery(ResolvedQuery):
                         chunk_sizes=query.chunk_sizes,
                         thread_counts=query.thread_counts,
                         mechanisms=query.mechanisms,
-                        search=query.strategy,
-                        prune=query.prune,
+                        strategy=query.strategy,
                         backend=backend)
 
     def lookup(self, profiles: ProfileStore,

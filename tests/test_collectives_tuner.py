@@ -135,7 +135,7 @@ def test_plan_store_get_or_tune_caches(tmp_path):
     assert len(store) == 1
 
     class ExplodingBackend(SerialBackend):
-        def run_tasks(self, fn, tasks):
+        def open_session(self, fn):
             raise AssertionError("cache hit expected; sweep re-ran")
 
     cached_tuner = CollectiveTuner(VOLTA, COLL_ALL_REDUCE,

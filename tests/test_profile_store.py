@@ -53,8 +53,8 @@ def test_sweep_signature_keys_roundtrip(tmp_path):
     store = ProfileStore(path=path)
     coarse = ProactConfig(MECH_POLLING, 1 * MiB, 2048)
     fine = ProactConfig(MECH_CDP, 128 * KiB, 4096)
-    sig_coarse = "coordinate|mech=a|chunks=1048576|threads=2048"
-    sig_fine = "coordinate|mech=a|chunks=131072,1048576|threads=2048,4096"
+    sig_coarse = "search|mech=a|chunks=1048576|threads=2048"
+    sig_fine = "search|mech=a|chunks=131072,1048576|threads=2048,4096"
     store.put("4x_volta", "Pagerank", coarse, signature=sig_coarse)
     store.put("4x_volta", "Pagerank", fine, signature=sig_fine)
     assert store.get("4x_volta", "Pagerank", sig_coarse) == coarse

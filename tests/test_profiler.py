@@ -8,12 +8,10 @@ from repro.core import (
     MECH_CDP,
     MECH_INLINE,
     MECH_POLLING,
-    ParallelProfiler,
     ProactConfig,
     Profiler,
 )
 from repro.core.profiler import (
-    ExecutorBackend,
     ProcessPoolBackend,
     ProfileEntry,
     ProfileResult,
@@ -40,7 +38,9 @@ def small_jacobi():
 
 def test_profiler_validation():
     with pytest.raises(ProactError):
-        Profiler(PLATFORM_4X_VOLTA, search="random")
+        Profiler(PLATFORM_4X_VOLTA, strategy="random")
+    with pytest.raises(ProactError):
+        Profiler(PLATFORM_4X_VOLTA, strategy="coordinate")
     with pytest.raises(ProactError):
         Profiler(PLATFORM_4X_VOLTA, chunk_sizes=())
 
@@ -51,17 +51,9 @@ def test_profile_result_requires_entries():
         _ = ProfileResult(entries=[]).best
 
 
-def test_coordinate_search_entry_count():
-    profiler = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                        thread_counts=SMALL_THREADS)
-    profile = profiler.profile(small_pagerank().phase_builder())
-    # inline: 1; per decoupled mechanism: |chunks| + |threads| - 1 = 3.
-    assert len(profile.entries) == 1 + 2 * 3
-
-
 def test_exhaustive_search_entry_count():
     profiler = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                        thread_counts=SMALL_THREADS, search="exhaustive")
+                        thread_counts=SMALL_THREADS, strategy="exhaustive")
     profile = profiler.profile(small_pagerank().phase_builder())
     assert len(profile.entries) == 1 + 2 * (2 * 2)
 
@@ -103,8 +95,8 @@ def test_best_for_mechanism_unknown_rejected():
 
 def test_best_breaks_ties_toward_smallest_config():
     # Ties on runtime must resolve to the smallest (chunk, threads)
-    # independent of entry order, so coordinate and exhaustive search
-    # (and any executor backend) agree on the winner.
+    # independent of entry order, so search and exhaustive sweeps (and
+    # any executor backend) agree on the winner.
     entries = [
         ProfileEntry(ProactConfig(MECH_POLLING, 1 * MiB, 4096), 2.0),
         ProfileEntry(ProactConfig(MECH_POLLING, 128 * KiB, 4096), 2.0),
@@ -119,43 +111,30 @@ def test_best_breaks_ties_toward_smallest_config():
         MECH_POLLING).config == expected
 
 
-def test_coordinate_and_exhaustive_agree_on_best():
-    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS)
-    builder = small_pagerank().phase_builder()
-    coordinate = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
-    exhaustive = Profiler(PLATFORM_4X_VOLTA, search="exhaustive",
-                          **kwargs).profile(builder)
-    assert coordinate.best_config == exhaustive.best_config
-
-
 def test_parallel_profiler_matches_serial_exactly():
     # Each measurement is a pure function of (platform, config, phases),
     # so the process-pool sweep must be byte-identical to the serial one
     # — same entries, same runtimes, same order.
     builder = small_pagerank().phase_builder()
-    for search in ("coordinate", "exhaustive"):
-        serial = Profiler(
-            PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-            thread_counts=SMALL_THREADS, search=search).profile(builder)
-        parallel = ParallelProfiler(
-            PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-            thread_counts=SMALL_THREADS, search=search,
-            jobs=4).profile(builder)
-        assert serial.entries == parallel.entries
-        assert serial.best == parallel.best
+    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS,
+                  strategy="exhaustive")
+    serial = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
+    parallel = Profiler(PLATFORM_4X_VOLTA, backend=ProcessPoolBackend(4),
+                        **kwargs).profile(builder)
+    assert serial.entries == parallel.entries
+    assert serial.best == parallel.best
 
 
 def test_parallel_pruned_sweep_matches_serial_argmin():
-    # The best-first pruned sweep sizes its waves by the backend's
+    # The floor-pruned search sizes its waves by the backend's
     # parallelism; the skip condition is still strict, so the winner —
-    # config and bitwise runtime — must match the serial pruned sweep
-    # and brute force.
+    # config and bitwise runtime — must match brute force.
     builder = small_pagerank().phase_builder()
-    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS,
-                  search="exhaustive")
-    brute = Profiler(PLATFORM_4X_VOLTA, **kwargs).profile(builder)
-    parallel = ParallelProfiler(PLATFORM_4X_VOLTA, prune=True, jobs=2,
-                                **kwargs).profile(builder)
+    kwargs = dict(chunk_sizes=SMALL_CHUNKS, thread_counts=SMALL_THREADS)
+    brute = Profiler(PLATFORM_4X_VOLTA, strategy="exhaustive",
+                     **kwargs).profile(builder)
+    parallel = Profiler(PLATFORM_4X_VOLTA, backend=ProcessPoolBackend(2),
+                        **kwargs).profile(builder)
     assert parallel.best.config == brute.best.config
     assert parallel.best.runtime == brute.best.runtime
     measured = {entry.config: entry.runtime for entry in brute.entries}
@@ -178,8 +157,9 @@ def test_dying_worker_surfaces_error_with_offending_tasks():
     # surface as a bare BrokenProcessPool with no hint of which config
     # was in flight.
     backend = ProcessPoolBackend(jobs=2)
-    with pytest.raises(ProactError, match=r"worker process died.*3"):
-        backend.run_tasks(_crash_on_three, list(range(8)))
+    with backend.open_session(_crash_on_three) as session:
+        with pytest.raises(ProactError, match=r"worker process died.*3"):
+            session.map(list(range(8)))
 
 
 def test_dying_worker_in_session_names_batch():
@@ -202,34 +182,18 @@ def _double(task):
     return task * 2
 
 
-def test_custom_backend_overriding_run_tasks_still_works():
-    # Third-party backends predating the warm-worker seam override only
-    # run_tasks; the default open_session must route through it.
-    calls = []
-
-    class Recording(ExecutorBackend):
-        def run_tasks(self, fn, tasks):
-            calls.append(len(tasks))
-            return [fn(task) for task in tasks]
-
-    backend = Recording()
-    with backend.open_session(_double) as session:
-        assert session.map([1, 2, 3]) == [2, 4, 6]
-    assert calls == [3]
-    assert backend.parallelism == 1
+def _pid(task):
+    return os.getpid()
 
 
 def test_process_pool_backend_validation():
     with pytest.raises(ProactError):
         ProcessPoolBackend(jobs=0)
-    # jobs=1 degrades to the serial path (no pool spawned).
-    backend = ProcessPoolBackend(jobs=1)
-    entry = backend.measure_wave(
-        PLATFORM_4X_VOLTA, [ProactConfig(MECH_POLLING, 1 * MiB, 2048)],
-        small_pagerank().phase_builder())[0]
-    assert entry.runtime > 0
-    assert backend.measure_wave(
-        PLATFORM_4X_VOLTA, [], small_pagerank().phase_builder()) == []
+    # jobs=1 degrades to the serial path (no pool spawned): every task
+    # runs in this process.
+    with ProcessPoolBackend(jobs=1).open_session(_pid) as session:
+        assert session.map([1, 2, 3]) == [os.getpid()] * 3
+        assert session.map([]) == []
 
 
 def test_sweep_signature_identifies_search_space():
@@ -239,14 +203,15 @@ def test_sweep_signature_identifies_search_space():
                     thread_counts=SMALL_THREADS)
     assert base.sweep_signature() == same.sweep_signature()
     # The backend is excluded: parallel sweeps share cache hits.
-    parallel = ParallelProfiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                                thread_counts=SMALL_THREADS, jobs=4)
+    parallel = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
+                        thread_counts=SMALL_THREADS,
+                        backend=ProcessPoolBackend(4))
     assert parallel.sweep_signature() == base.sweep_signature()
     # Any grid/search change produces a distinct namespace.
     wider = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=(*SMALL_CHUNKS, 4 * MiB),
                      thread_counts=SMALL_THREADS)
     exhaustive = Profiler(PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-                          thread_counts=SMALL_THREADS, search="exhaustive")
+                          thread_counts=SMALL_THREADS, strategy="exhaustive")
     assert wider.sweep_signature() != base.sweep_signature()
     assert exhaustive.sweep_signature() != base.sweep_signature()
 

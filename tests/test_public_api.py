@@ -8,17 +8,13 @@ reviewed decision.  After an intentional change, regenerate with::
 
     PYTHONPATH=src python tests/test_public_api.py --regen
 
-The deprecation tests pin the compatibility contract of PR 5's facade
-redesign: the legacy entry points still work but warn, and the
-supported paths stay warning-free.
+The remaining tests check that the supported paths stay warning-free.
 """
 
 import inspect
 import json
 import pathlib
 import warnings
-
-import pytest
 
 import repro
 import repro.ablation
@@ -98,64 +94,29 @@ def test_session_accepts_mechanisms():
 
 
 # ----------------------------------------------------------------------
-# Deprecation contract
+# No deprecation shims
 # ----------------------------------------------------------------------
-def test_from_name_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system = repro.System.from_name("4x_volta")
-    assert system.num_gpus == 4
-
-
-def test_attach_validation_warns_but_works():
-    system = repro.System(repro.platform_by_name("4x_volta"))
-    with pytest.warns(DeprecationWarning, match="validate=True"):
-        sanitizer = system.attach_validation()
-    assert sanitizer.enabled
-    assert system.validating
-
-
-def test_finish_hooks_warn_but_work():
-    system = repro.System(repro.platform_by_name("4x_volta"))
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system.finish_observation()
-    with pytest.warns(DeprecationWarning, match="Session"):
-        system.finish_validation()
-
-
-def test_proact_config_validate_warns_but_works():
-    import dataclasses
-
-    from repro.core.config import DEFAULT_CONFIG
-    with pytest.warns(DeprecationWarning, match="validate=True"):
-        config = dataclasses.replace(DEFAULT_CONFIG, validate=True)
-    assert config.validate
-
-
-def test_paradigm_instrument_warns_but_works():
-    from repro.paradigms import ProactDecoupledParadigm
-    with pytest.warns(DeprecationWarning, match="readiness_tracking"):
-        paradigm = ProactDecoupledParadigm(instrument=False)
-    assert paradigm.instrument is False
-
-
-def test_context_profile_kwargs_warn_but_work():
-    from repro.experiments.registry import ExperimentContext, ProfilePolicy
-    with pytest.warns(DeprecationWarning, match="ProfilePolicy"):
-        ctx = ExperimentContext(profile_strategy="search", profile_jobs=2)
-    assert ctx.profile == ProfilePolicy(strategy="search", jobs=2)
-    # Mirrored legacy readers keep working.
-    assert ctx.profile_strategy == "search"
-    assert ctx.profile_jobs == 2
-
-
 def test_context_profile_policy_does_not_warn():
     from repro.experiments.registry import ExperimentContext, ProfilePolicy
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        ctx = ExperimentContext(
-            profile=ProfilePolicy(strategy="search", jobs=2))
-    assert ctx.profile_strategy == "search"
-    assert ctx.profile_jobs == 2
+        ctx = ExperimentContext(profile=ProfilePolicy(jobs=2))
+    assert ctx.profile.jobs == 2
+
+
+def test_removed_shims_stay_removed():
+    """Legacy spellings are gone, not kept as warning aliases."""
+    import dataclasses
+
+    from repro.core import profiler
+    from repro.core.config import ProactConfig
+    for name in ("from_name", "attach_validation", "finish_validation",
+                 "finish_observation"):
+        assert not hasattr(repro.System, name)
+    assert "validate" not in {f.name for f in dataclasses.fields(ProactConfig)}
+    assert not hasattr(profiler, "ParallelProfiler")
+    assert not hasattr(profiler.ExecutorBackend, "run_tasks")
+    assert profiler.STRATEGIES == ("search", "exhaustive")
 
 
 def test_session_paths_do_not_warn():

@@ -237,13 +237,13 @@ def test_cli_rejects_bad_arguments():
         runner.main(["--jobs", "0", "--only", "table1"])
     with pytest.raises(SystemExit):
         runner.main(["--quick", "--full"])
-    with pytest.raises(SystemExit):
-        runner.main(["--profile-strategy", "random", "--only", "table1"])
+    with pytest.raises(SystemExit):  # the profiler has one strategy
+        runner.main(["--profile-strategy", "search", "--only", "table1"])
     with pytest.raises(SystemExit):
         runner.main(["--profile-jobs", "0", "--only", "table1"])
 
 
-def test_cli_profile_strategy_and_jobs_reach_the_context(monkeypatch):
+def test_cli_profile_jobs_reach_the_context(monkeypatch):
     seen = {}
 
     def fake_run_all(**kwargs):
@@ -251,16 +251,14 @@ def test_cli_profile_strategy_and_jobs_reach_the_context(monkeypatch):
         return [ExperimentResult(name="a", label="A", tables=["t"], rows=1)]
 
     monkeypatch.setattr(runner, "run_all", fake_run_all)
-    assert runner.main(["--only", "table2", "--profile-strategy", "search",
-                        "--profile-jobs", "2"]) == 0
-    assert seen["profile"] == ProfilePolicy(strategy="search", jobs=2)
+    assert runner.main(["--only", "table2", "--profile-jobs", "2"]) == 0
+    assert seen["profile"] == ProfilePolicy(jobs=2)
 
 
-def test_context_carries_profile_strategy_defaults():
+def test_context_carries_profile_policy_defaults():
     ctx = ExperimentContext(quick=True)
     assert ctx.profile == ProfilePolicy()
-    assert ctx.profile_strategy == "coordinate"
-    assert ctx.profile_jobs == 1
+    assert ctx.profile.jobs == 1
     assert ctx.sweeps is False
 
 
@@ -304,7 +302,7 @@ def test_sweep_telemetry_context_carries_decisions(monkeypatch):
         profiler = Profiler(PLATFORM_4X_VOLTA,
                             chunk_sizes=(256 * KiB,),
                             thread_counts=(2048,),
-                            search="exhaustive")
+                            strategy="exhaustive")
         profile = profiler.profile(small_pagerank(iterations=1)
                                    .phase_builder())
         table = TextTable("Sweep", ["configs"])
@@ -447,7 +445,7 @@ def test_validate_context_attaches_sanitizer_summary(monkeypatch):
         assert system.validating  # the runner's scope reached us
         proc = system.collective("all_reduce", 1 * MiB)
         system.run(until=proc)
-        system.finish_validation()
+        system._finish_validation()
         table = TextTable("Validated", ["ok"])
         table.add_row(1)
         return ExperimentResult.build("validated", "Validated", [table], {})

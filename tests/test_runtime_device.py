@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, RuntimeApiError
-from repro.hw import PLATFORM_4X_PASCAL, PLATFORM_4X_VOLTA
+from repro.hw import PLATFORM_4X_PASCAL, PLATFORM_4X_VOLTA, platform_by_name
 from repro.runtime import System
 from repro.units import MiB
 
@@ -12,25 +12,17 @@ from repro.units import MiB
 # System assembly
 # ---------------------------------------------------------------------------
 
-def test_system_from_name():
-    with pytest.warns(DeprecationWarning, match="from_name"):
-        system = System.from_name("4x_volta")
-    assert system.num_gpus == 4
-    assert len(system.devices) == 4
-    assert system.spec.gpu.arch == "Volta"
-
-
 def test_system_num_gpus_override():
-    with pytest.warns(DeprecationWarning, match="from_name"):
-        system = System.from_name("16x_volta", num_gpus=8)
+    system = System(platform_by_name("16x_volta"), num_gpus=8)
     assert system.num_gpus == 8
+    assert len(system.devices) == 8
+    assert system.spec.gpu.arch == "Volta"
     assert len(system.fabric.links) == 16  # 8 up + 8 down on the switch
 
 
 def test_system_unknown_name_rejected():
-    with pytest.raises(ConfigurationError), \
-            pytest.warns(DeprecationWarning, match="from_name"):
-        System.from_name("no_such_system")
+    with pytest.raises(ConfigurationError):
+        System(platform_by_name("no_such_system"))
 
 
 def test_system_device_lookup_bounds():

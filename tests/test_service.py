@@ -57,15 +57,15 @@ class SlowBackend(SerialBackend):
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def run_tasks(self, fn, tasks):
+    def open_session(self, fn):
         time.sleep(self.delay_s)
-        return super().run_tasks(fn, tasks)
+        return super().open_session(fn)
 
 
 class BoomBackend(SerialBackend):
     """A backend whose sweeps always die."""
 
-    def run_tasks(self, fn, tasks):
+    def open_session(self, fn):
         raise RuntimeError("sweep exploded")
 
 

@@ -14,8 +14,8 @@ The contract under test (see ``docs/OBSERVABILITY.md``):
 
 import pytest
 
-from repro.core import ParallelProfiler, Profiler
-from repro.core.profiler import SweepProgress
+from repro.core import Profiler
+from repro.core.profiler import ProcessPoolBackend, SweepProgress
 from repro.hw import PLATFORM_4X_VOLTA
 from repro.obs import capture
 from repro.units import KiB, MiB
@@ -51,7 +51,7 @@ def test_plain_capture_records_no_sweep_telemetry():
     output: the post-hoc ``profiler`` channel, no worker lanes, no
     decision events, no sweep histograms, no extra system tracers."""
     with capture() as observation:
-        _profiler(search="exhaustive").profile(_builder())
+        _profiler(strategy="exhaustive").profile(_builder())
     assert not observation.sweeps
     assert len(observation.decisions) == 0
     assert observation.ambient_tracer.count("decision") == 0
@@ -68,7 +68,7 @@ def test_plain_capture_records_no_sweep_telemetry():
 def test_sweep_capture_keeps_candidates_suppressed():
     """sweeps=True observes the sweep, never the simulated candidates."""
     with capture(sweeps=True) as observation:
-        _profiler(search="exhaustive").profile(_builder())
+        _profiler(strategy="exhaustive").profile(_builder())
     assert [label for label, _ in observation.traces] == ["capture"]
 
 
@@ -77,10 +77,9 @@ def test_sweep_capture_keeps_candidates_suppressed():
 # ---------------------------------------------------------------------------
 
 def test_serial_sweep_telemetry_decisions_and_identical_results():
-    baseline = _profiler(search="exhaustive", prune=True).profile(_builder())
+    baseline = _profiler().profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = _profiler(search="exhaustive",
-                           prune=True).profile(_builder())
+        traced = _profiler().profile(_builder())
 
     assert traced.entries == baseline.entries  # byte-identical results
     decisions = observation.decisions
@@ -105,9 +104,9 @@ def test_serial_sweep_telemetry_decisions_and_identical_results():
 
 
 def test_search_mode_telemetry_covers_the_grid():
-    baseline = _profiler().search(_builder())
+    baseline = _profiler().profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = _profiler().search(_builder())
+        traced = _profiler().profile(_builder())
     assert traced.entries == baseline.entries
     decisions = observation.decisions
     assert decisions.count("measure") + decisions.count("prune") == GRID
@@ -115,12 +114,12 @@ def test_search_mode_telemetry_covers_the_grid():
     assert decisions.final_incumbent().config == traced.best.config.label()
 
 
-def test_coordinate_mode_telemetry_counts_planned_grid():
+def test_exhaustive_mode_telemetry_measures_the_grid():
     with capture(sweeps=True) as observation:
-        traced = _profiler().profile(_builder())
+        traced = _profiler(strategy="exhaustive").profile(_builder())
     decisions = observation.decisions
-    # Coordinate search measures its reduced plan; nothing is pruned.
-    assert decisions.count("measure") == len(traced.entries)
+    # Brute force measures every candidate; nothing is pruned.
+    assert decisions.count("measure") == len(traced.entries) == GRID
     assert decisions.count("prune") == 0
 
 
@@ -129,12 +128,10 @@ def test_coordinate_mode_telemetry_counts_planned_grid():
 # ---------------------------------------------------------------------------
 
 def test_parallel_sweep_telemetry_worker_lanes_and_identity():
-    baseline = _profiler(search="exhaustive").profile(_builder())
+    baseline = _profiler(strategy="exhaustive").profile(_builder())
     with capture(sweeps=True) as observation:
-        traced = ParallelProfiler(
-            PLATFORM_4X_VOLTA, chunk_sizes=SMALL_CHUNKS,
-            thread_counts=SMALL_THREADS, search="exhaustive",
-            jobs=2).profile(_builder())
+        traced = _profiler(strategy="exhaustive",
+                           backend=ProcessPoolBackend(2)).profile(_builder())
 
     assert traced.entries == baseline.entries  # parallel == serial
     decisions = observation.decisions
@@ -161,8 +158,7 @@ def test_parallel_sweep_telemetry_worker_lanes_and_identity():
 
 def test_progress_callback_without_capture():
     snapshots = []
-    profiler = _profiler(search="exhaustive", prune=True,
-                         progress=snapshots.append)
+    profiler = _profiler(progress=snapshots.append)
     result = profiler.profile(_builder())
 
     assert snapshots, "progress sink never called"
@@ -185,7 +181,7 @@ def test_progress_callback_without_capture():
 def test_progress_with_sweep_capture_reports_utilization():
     snapshots = []
     with capture(sweeps=True):
-        _profiler(search="exhaustive",
+        _profiler(strategy="exhaustive",
                   progress=snapshots.append).profile(_builder())
     final = snapshots[-1]
     assert final.worker_utilization is not None
@@ -203,7 +199,7 @@ def test_progress_true_writes_stderr(capsys):
 
 def test_telemetry_off_has_no_side_channels():
     """No capture, no progress: the sweep records nothing anywhere."""
-    result = _profiler(search="exhaustive").profile(_builder())
+    result = _profiler(strategy="exhaustive").profile(_builder())
     assert result.entries  # sanity
 
 

@@ -238,13 +238,13 @@ def test_healthy_tracker_passes_under_sanitizer():
 # End-to-end: a real decoupled phase under the sanitizer
 # ---------------------------------------------------------------------------
 
-def test_decoupled_phase_runs_clean_with_config_validate():
-    system = volta_system()
-    assert not system.validating
-    config = ProactConfig(MECH_POLLING, 256 * KiB, 2048, validate=True)
+def test_decoupled_phase_runs_clean_under_validation():
+    with validation():
+        system = volta_system()
+    assert system.validating
+    config = ProactConfig(MECH_POLLING, 256 * KiB, 2048)
     result = run_phase(system, config,
                        one_producer_phase(system, region_bytes=8 * MiB))
-    assert system.validating
     assert result.duration > 0
     summary = system.engine.sanitizer.summary()
     assert summary["violations"] == 0
