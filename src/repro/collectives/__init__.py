@@ -25,7 +25,6 @@ from repro.collectives.algorithms import (
     ALGO_TREE,
     ALL_ALGORITHMS,
     build_schedule,
-    schedules_for,
     supported_algorithms,
 )
 from repro.collectives.executor import (
@@ -81,7 +80,6 @@ __all__ = [
     "payload_bucket",
     "replay_payloads",
     "run_collective",
-    "schedules_for",
     "supported_algorithms",
     "verify_schedule",
 ]

@@ -23,7 +23,7 @@ is verifiable by :func:`~repro.collectives.schedule.verify_schedule`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CollectiveError
 from repro.collectives.schedule import (
@@ -272,16 +272,3 @@ def build_schedule(collective: str, algorithm: str, num_gpus: int,
         build(builder)
     return builder.build()
 
-
-def schedules_for(collective: str, num_gpus: int, nbytes: int,
-                  chunk_size: int,
-                  algorithms: Sequence[str] = ALL_ALGORITHMS,
-                  root: int = 0,
-                  gpus_per_node: Optional[int] = None
-                  ) -> Dict[str, CollectiveSchedule]:
-    """Every supported algorithm's schedule for one collective."""
-    supported = supported_algorithms(collective, num_gpus, gpus_per_node)
-    return {algorithm: build_schedule(collective, algorithm, num_gpus,
-                                      nbytes, chunk_size, root=root,
-                                      gpus_per_node=gpus_per_node)
-            for algorithm in algorithms if algorithm in supported}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.collectives.algorithms import build_schedule
 from repro.collectives.schedule import (
@@ -186,9 +186,3 @@ def run_collective(platform: "PlatformSpec", collective: str, algorithm: str,
     system._finish_observation()
     system._finish_validation()
     return proc.value
-
-
-def bus_bandwidth_table(results: Dict[str, CollectiveResult]) -> Dict[str, float]:
-    """Per-algorithm bus bandwidth (bytes/s) from a result mapping."""
-    return {algorithm: result.bus_bandwidth
-            for algorithm, result in results.items()}

@@ -58,7 +58,9 @@ class DecoupledAgent:
                  config: ProactConfig, destinations: List[int],
                  elide_transfers: bool = False,
                  peer_fraction: float = 1.0,
-                 access_size: int = AGENT_ACCESS_SIZE) -> None:
+                 access_size: Optional[int] = None) -> None:
+        if access_size is None:
+            access_size = AGENT_ACCESS_SIZE
         if not destinations:
             raise ProactError("agent needs at least one destination GPU")
         if src_id in destinations:

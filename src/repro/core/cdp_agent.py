@@ -28,9 +28,7 @@ class CdpAgent(DecoupledAgent):
                  peer_fraction: float = 1.0,
                  access_size: int | None = None) -> None:
         super().__init__(system, src_id, config, destinations,
-                         elide_transfers, peer_fraction,
-                         **({} if access_size is None
-                            else {"access_size": access_size}))
+                         elide_transfers, peer_fraction, access_size)
         self._device = system.devices[src_id]
 
     def _dispatch(self, nbytes: int, chunk=None) -> None:

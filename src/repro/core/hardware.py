@@ -57,9 +57,7 @@ class HardwareAgent(DecoupledAgent):
             transfer_threads=_engine_equivalent_threads(system, src_id),
             poll_period=config.poll_period)
         super().__init__(system, src_id, engine_config, destinations,
-                         elide_transfers, peer_fraction,
-                         **({} if access_size is None
-                            else {"access_size": access_size}))
+                         elide_transfers, peer_fraction, access_size)
 
     def _dispatch(self, nbytes: int, chunk=None) -> None:
         self._begin_send()

@@ -45,9 +45,7 @@ class PollingAgent(DecoupledAgent):
                  peer_fraction: float = 1.0,
                  access_size: int | None = None) -> None:
         super().__init__(system, src_id, config, destinations,
-                         elide_transfers, peer_fraction,
-                         **({} if access_size is None
-                            else {"access_size": access_size}))
+                         elide_transfers, peer_fraction, access_size)
         self._started = False
         self._resident_task: FluidTask | None = None
         self._started_at: float | None = None

@@ -515,11 +515,6 @@ class _TelemetrySession(TaskSession):
     def close(self) -> None:
         self.inner.close()
 
-    @property
-    def worker_count(self) -> int:
-        """Distinct worker processes seen so far."""
-        return len(self._worker_lanes)
-
     def _lane(self, pid: int) -> str:
         lane = self._worker_lanes.get(pid)
         if lane is None:

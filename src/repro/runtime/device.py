@@ -7,8 +7,10 @@ CUDA-like runtime exposes:
   with externally visible progress-milestone events.
 * ``memcpy_peer`` — DMA-engine bulk copy: host-side initiation overhead,
   engine serialization, then a max-payload-efficiency fabric transfer.
-* ``cdp_launch`` — CUDA Dynamic Parallelism: a driver-serialized launch
-  delay, then a child task on the GPU's compute fabric.
+
+It also holds ``cdp_launcher``, the host-driver queue through which the
+CDP transfer agent (:mod:`repro.core.cdp_agent`) serializes its dynamic
+kernel launches.
 """
 
 from __future__ import annotations
@@ -125,29 +127,6 @@ class Device:
             self.dma_engine.release()
         self.memcpy_count += 1
         return receipt
-
-    # ------------------------------------------------------------------
-    # CUDA Dynamic Parallelism
-    # ------------------------------------------------------------------
-    def cdp_launch(self, name: str, work: float, demand: float) -> Process:
-        """Launch a dynamic (child) kernel; returns its completion process."""
-        if work < 0:
-            raise RuntimeApiError(f"negative CDP work: {work}")
-        return self.system.engine.process(
-            self._cdp(name, work, demand), name=f"cdp:{name}")
-
-    def _cdp(self, name: str, work: float, demand: float):
-        engine = self.system.engine
-        yield self.cdp_launcher.request()
-        try:
-            yield engine._sleep(self.spec.cdp_launch_latency)
-        finally:
-            self.cdp_launcher.release()
-        self.cdp_launch_count += 1
-        if work > 0:
-            task = self.gpu.compute.launch(f"cdp:{name}", work, demand)
-            yield task.done
-        return self
 
     def __repr__(self) -> str:
         return f"<Device {self.device_id} {self.spec.name}>"

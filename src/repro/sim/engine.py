@@ -31,9 +31,9 @@ result:
 * **Lazy observability guards** — the verbose per-event trace check is
   a single cached boolean (refreshed whenever ``engine.tracer`` is
   assigned), so a NULL observer costs zero attribute chases per event.
-* **Single-event waits** — ``all_of``/``any_of`` over exactly one event
-  return a :class:`~repro.sim.events._SingleWait` that skips the
-  condition machinery while firing with the identical value.
+* **Single-event waits** — ``all_of`` over exactly one event returns a
+  :class:`~repro.sim.events._SingleWait` that skips the condition
+  machinery while firing with the identical value.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     AllOf,
-    AnyOf,
     Event,
     Timeout,
     _PooledEvent,
@@ -84,7 +83,6 @@ class Engine:
         self._now = start_time
         self._heap: List[_HeapEntry] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.sanitizer = sanitizer
@@ -110,11 +108,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event construction helpers
@@ -154,8 +147,8 @@ class Engine:
                       defused: bool) -> Event:
         """A pooled, already-triggered event that schedules ``callback``.
 
-        Backs process start, bounce-after-processed-target, and
-        interrupt wake-ups — all scheduled urgently at the current time.
+        Backs process start and the bounce after a processed target or a
+        non-event yield — both scheduled urgently at the current time.
         Same recycling contract as :meth:`_sleep`.
         """
         pool = self._event_pool
@@ -184,20 +177,13 @@ class Engine:
             return _SingleWait(self, events[0])
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Create an event that fires when any of ``events`` has fired."""
-        events = list(events)
-        if len(events) == 1:
-            return _SingleWait(self, events[0])
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = PRIORITY_NORMAL) -> None:
         """Place a triggered event on the heap ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         _heappush(
             self._heap, (self._now + delay, priority, self._sequence, event))
@@ -290,7 +276,7 @@ class Engine:
         if isinstance(until, Event):
             return self._run_until_event(until)
         deadline = float(until)
-        if deadline < self._now:
+        if not deadline >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"until={deadline} is in the past (now={self._now})")
         heap = self._heap

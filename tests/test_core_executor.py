@@ -231,6 +231,9 @@ def test_cdp_agent_counts_launches():
     system.run(until=agent.close())
     assert system.devices[0].cdp_launch_count == 5
     assert agent.stats.sends_issued == 15
+    # Dynamic launches serialize through the host driver, so the drain
+    # cannot end before five back-to-back launch latencies.
+    assert system.now >= 5 * system.spec.gpu.cdp_launch_latency
 
 
 def test_more_transfer_threads_speed_up_drain():

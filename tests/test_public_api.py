@@ -1,8 +1,9 @@
 """Public-API surface tests: snapshot + deprecation contract.
 
 The checked-in snapshot (``tests/data/public_api.json``) records the
-package's advertised surface — ``repro.__all__`` plus every public
-method signature on :class:`repro.api.Session`.  CI fails when the
+package's advertised surface — ``repro.__all__``, the ``repro.sim`` and
+``repro.runtime`` exports, plus every public method signature on
+:class:`repro.api.Session`.  CI fails when the
 surface drifts, so renames and signature changes are always a conscious,
 reviewed decision.  After an intentional change, regenerate with::
 
@@ -19,6 +20,8 @@ import warnings
 import repro
 import repro.ablation
 import repro.api
+import repro.runtime
+import repro.sim
 from repro.api import Session
 from repro.core.config import Mechanisms
 
@@ -39,6 +42,8 @@ def current_surface():
         "repro_all": sorted(repro.__all__),
         "repro_ablation_all": sorted(repro.ablation.__all__),
         "repro_api_all": sorted(repro.api.__all__),
+        "repro_runtime_all": sorted(repro.runtime.__all__),
+        "repro_sim_all": sorted(repro.sim.__all__),
         "mechanisms": sorted(Mechanisms.component_names()),
         "session": methods,
     }
@@ -105,8 +110,9 @@ def test_context_profile_policy_does_not_warn():
 
 
 def test_removed_shims_stay_removed():
-    """Legacy spellings are gone, not kept as warning aliases."""
+    """Legacy spellings and unused helpers are gone, not kept as aliases."""
     import dataclasses
+    import importlib
 
     from repro.core import profiler
     from repro.core.config import ProactConfig
@@ -117,6 +123,47 @@ def test_removed_shims_stay_removed():
     assert not hasattr(profiler, "ParallelProfiler")
     assert not hasattr(profiler.ExecutorBackend, "run_tasks")
     assert profiler.STRATEGIES == ("search", "exhaustive")
+
+    # The simulation toolkit keeps only the primitives a simulation runs
+    # through; these extras had no caller outside the tests.
+    from repro import cluster, collectives, errors
+    from repro.collectives import executor
+    from repro.core.profiler import _TelemetrySession
+    from repro.experiments import utilization
+    from repro.runtime import Device
+    from repro.sim import Engine, Event, Process, Resource, events, trace
+
+    for name in ("Store", "Counter", "AnyOf", "Interrupt", "CounterStats",
+                 "PRIORITY_LOW"):
+        assert not hasattr(repro.sim, name)
+    assert not hasattr(events, "ConditionEvent")
+    assert not hasattr(events, "AnyOf")
+    assert not hasattr(trace, "CounterStats")
+    assert not hasattr(Engine, "any_of")
+    assert not hasattr(Engine, "active_process")
+    assert not hasattr(Engine(), "_active_process")
+    assert not hasattr(Resource, "acquire")
+    assert not hasattr(Event, "_mark_processed")
+    for name in ("interrupt", "is_alive", "_waiting_on"):
+        assert not hasattr(Process, name)
+    for name in ("Stream", "MemoryAllocator", "Allocation"):
+        assert not hasattr(repro.runtime, name)
+    for module in ("repro.runtime.stream", "repro.runtime.allocator"):
+        try:
+            importlib.import_module(module)
+        except ModuleNotFoundError:
+            continue
+        raise AssertionError(f"{module} should stay deleted")
+    assert not hasattr(errors, "MemoryError_")
+    assert not hasattr(Device, "cdp_launch")
+    assert not hasattr(Device, "_cdp")
+    assert not hasattr(cluster, "cluster_platform_by_name")
+    assert not hasattr(cluster.specs, "cluster_platform_names")
+    assert not hasattr(collectives, "schedules_for")
+    assert not hasattr(collectives.algorithms, "schedules_for")
+    assert not hasattr(executor, "bus_bandwidth_table")
+    assert not hasattr(utilization, "fabric_utilization_timeline")
+    assert not hasattr(_TelemetrySession, "worker_count")
 
 
 def test_session_paths_do_not_warn():

@@ -1,4 +1,4 @@
-"""Unit tests for System, Device, kernel launches, memcpy, and CDP."""
+"""Unit tests for System, Device, kernel launches, and memcpy."""
 
 import pytest
 
@@ -138,32 +138,3 @@ def test_memcpy_counts():
     src = system.device(0)
     system.run(until=src.memcpy_peer(system.device(1), 1024))
     assert src.memcpy_count == 1
-
-
-# ---------------------------------------------------------------------------
-# CDP launches
-# ---------------------------------------------------------------------------
-
-def test_cdp_launch_pays_latency_then_runs_work():
-    system = System(PLATFORM_4X_VOLTA)
-    done = system.device(0).cdp_launch("copy", work=1e-4, demand=0.05)
-    system.run(until=done)
-    expected = system.spec.gpu.cdp_launch_latency + 1e-4
-    assert system.now == pytest.approx(expected)
-    assert system.device(0).cdp_launch_count == 1
-
-
-def test_cdp_launches_serialize_through_driver():
-    system = System(PLATFORM_4X_VOLTA)
-    device = system.device(0)
-    launches = [device.cdp_launch(f"c{i}", work=0.0, demand=0.05)
-                for i in range(5)]
-    system.run(until=system.engine.all_of(launches))
-    assert system.now == pytest.approx(
-        5 * system.spec.gpu.cdp_launch_latency)
-
-
-def test_cdp_negative_work_rejected():
-    system = System(PLATFORM_4X_VOLTA)
-    with pytest.raises(RuntimeApiError):
-        system.device(0).cdp_launch("bad", work=-1.0, demand=0.1)
