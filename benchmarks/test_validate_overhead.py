@@ -37,7 +37,7 @@ def _run_workload():
         works += [GpuPhaseWork(kernel=KernelSpec("other", flops, 0, 8192))
                   for _ in range(system.num_gpus - 1)]
         system.run(until=executor.execute(works))
-    system._finish_validation()
+    system._finish()
     return system
 
 

@@ -35,7 +35,6 @@ from contextlib import ExitStack, contextmanager
 
 from repro.errors import ConfigurationError
 from repro.hw.platform import PlatformSpec, platform_by_name
-from repro.interconnect.link import DEFAULT_QUANTUM
 from repro.obs.capture import Observation, observing
 from repro.obs.metrics import MetricsRegistry
 from repro.validate.scope import Validation, validating
@@ -81,21 +80,13 @@ class Session:
         validate: Run every simulation under the readiness sanitizer and
             conservation checker; violations raise
             :class:`~repro.errors.ValidationError`.
-        trace: Record structural traces for every run (exported with
-            :meth:`chrome_trace`).
-        metrics: Collect the metrics registry even when tracing is off.
+        trace: Record structural traces and metrics for every run
+            (exported with :meth:`chrome_trace` and :attr:`metrics`).
         sweeps: Also capture profiler sweep telemetry — per-worker
             activity lanes, the search/prune :class:`DecisionLog`
             (:attr:`decisions`), and sweep latency histograms.  Implies
             observation; candidate simulations inside sweeps stay
             unobserved either way, so results are unchanged.
-        verbose_trace: Also record per-event engine lanes (huge; debug
-            only).
-        infinite_bw: Build systems with the infinite-bandwidth fabric
-            (the paper's limit study).
-        quantum: Link service quantum in bytes.
-        dma_engines: DMA engines per GPU for systems built via
-            :meth:`system` / :meth:`collective`.
         mechanisms: Mechanism-ablation policy
             (:class:`~repro.core.config.Mechanisms`).  Every system,
             paradigm, and profiler built through this session honors
@@ -110,12 +101,7 @@ class Session:
                  num_gpus: Optional[int] = None,
                  validate: bool = False,
                  trace: bool = False,
-                 metrics: bool = False,
                  sweeps: bool = False,
-                 verbose_trace: bool = False,
-                 infinite_bw: bool = False,
-                 quantum: int = DEFAULT_QUANTUM,
-                 dma_engines: int = 1,
                  mechanisms: Optional["Mechanisms"] = None) -> None:
         if platform is None:
             platform = self.DEFAULT_PLATFORM
@@ -127,18 +113,13 @@ class Session:
         if num_gpus is not None:
             platform = platform.with_num_gpus(num_gpus)
         self.platform = platform
-        self.infinite_bw = infinite_bw
-        self.quantum = quantum
-        self.dma_engines = dma_engines
         self.mechanisms = mechanisms
         # One long-lived observation/validation per session: every entry
         # point below re-installs them as the ambient scopes, so results
         # accumulate across calls.
         self._observation: Optional[Observation] = None
-        if trace or metrics or verbose_trace or sweeps:
-            self._observation = Observation(
-                trace=trace or verbose_trace or sweeps,
-                verbose=verbose_trace, sweeps=sweeps)
+        if trace or sweeps:
+            self._observation = Observation(sweeps=sweeps)
         self._validation: Optional[Validation] = None
         if validate:
             self._validation = Validation()
@@ -183,8 +164,7 @@ class Session:
         audit.  Idempotent.  ``run``/``profile``/``collective`` do this
         themselves — only manually driven systems need it.
         """
-        system._finish_observation()
-        system._finish_validation()
+        system._finish()
 
     def run(self, workload, paradigm: Union[str, Any] = "proact",
             **paradigm_kwargs):
@@ -269,33 +249,6 @@ class Session:
                 return store.get_or_tune(tuner, nbytes)
             return tuner.tune(nbytes).best_choice
 
-    def serve(self, **service_kwargs):
-        """A :class:`~repro.service.TuningService` for this platform.
-
-        The async query layer over the facade: queries built without a
-        platform default to this session's, and hits/coalescing/sweeps
-        follow the service's three-tier path.  Keyword arguments go to
-        :class:`~repro.service.TuningService` (``shards``,
-        ``queue_depth``, ``jobs``, stores, ``default_timeout``); the
-        service is returned unstarted — drive it with ``async with`` or
-        wrap it in :class:`~repro.service.ThreadedTuningService` via
-        ``serve_threaded``.
-        """
-        from repro.service import TuningService
-        return TuningService(default_platform=self.platform,
-                             **service_kwargs)
-
-    def serve_threaded(self, **service_kwargs):
-        """:meth:`serve`, wrapped for blocking callers.
-
-        Returns an unstarted
-        :class:`~repro.service.ThreadedTuningService`; use it as a
-        context manager and call ``query`` from any thread.
-        """
-        from repro.service import ThreadedTuningService
-        return ThreadedTuningService(default_platform=self.platform,
-                                     **service_kwargs)
-
     def collective(self, collective: str, nbytes: int, *,
                    algorithm: str = "ring",
                    chunk_size: Optional[int] = None,
@@ -306,7 +259,7 @@ class Session:
         Builds a fresh system under the session's policy, launches the
         collective, runs the simulation until it finishes, and flushes
         observability — the whole
-        ``System``/``run``/``_finish_observation`` dance in one call.
+        ``System``/``run``/``_finish`` dance in one call.
         Returns a :class:`~repro.collectives.executor.CollectiveResult`.
         """
         with self.scope():
@@ -316,8 +269,7 @@ class Session:
                                      chunk_size=chunk_size, root=root,
                                      access_size=access_size)
             result = system.run(until=proc)
-            system._finish_observation()
-            system._finish_validation()
+            system._finish()
             return result
 
     # ------------------------------------------------------------------
@@ -334,7 +286,7 @@ class Session:
         """Everything traced so far as one Chrome-trace document."""
         if self._observation is None:
             raise ConfigurationError(
-                "session was created without trace/metrics; "
+                "session was created without trace; "
                 "pass trace=True to Session()")
         return self._observation.chrome_trace()
 
@@ -362,7 +314,7 @@ class Session:
         """
         if self._observation is None:
             raise ConfigurationError(
-                "session was created without trace/metrics; "
+                "session was created without trace; "
                 "pass trace=True (or sweeps=True) to Session()")
         from repro.obs.report import observation_report, write_report
         write_report(path, observation_report(self._observation,
@@ -380,9 +332,7 @@ class Session:
     # ------------------------------------------------------------------
     def _build_system(self):
         from repro.runtime.system import System
-        return System(self.platform, infinite_bw=self.infinite_bw,
-                      quantum=self.quantum, dma_engines=self.dma_engines,
-                      mechanisms=self.mechanisms)
+        return System(self.platform, mechanisms=self.mechanisms)
 
     def _resolve_paradigm(self, paradigm: Union[str, Any],
                           kwargs: Dict[str, Any]):
@@ -411,12 +361,9 @@ class Session:
         if self._validation is not None:
             flags.append("validate")
         if self._observation is not None:
-            flags.append("trace" if self._observation.trace_enabled
-                         else "metrics")
+            flags.append("trace")
             if self._observation.sweeps:
                 flags.append("sweeps")
-        if self.infinite_bw:
-            flags.append("infinite_bw")
         if self.mechanisms is not None and not self.mechanisms.all_enabled:
             flags.append(self.mechanisms.describe())
         suffix = f" [{', '.join(flags)}]" if flags else ""

@@ -183,6 +183,5 @@ def run_collective(platform: "PlatformSpec", collective: str, algorithm: str,
                                                     "gpus_per_node", None))
     proc = CollectiveExecutor(system).launch(schedule)
     system.run(until=proc)
-    system._finish_observation()
-    system._finish_validation()
+    system._finish()
     return proc.value

@@ -198,8 +198,6 @@ class ProfileResult:
 
 def run_phases(platform: PlatformSpec, config: ProactConfig,
                phase_builder: PhaseBuilder,
-               elide_transfers: bool = False,
-               instrument: bool = True,
                infinite_bw: bool = False,
                toggles: Optional[Mechanisms] = None) -> float:
     """Simulate an application under one configuration; returns runtime.
@@ -209,9 +207,7 @@ def run_phases(platform: PlatformSpec, config: ProactConfig,
     enabled.
     """
     system = System(platform, infinite_bw=infinite_bw, mechanisms=toggles)
-    executor = ProactPhaseExecutor(system, config,
-                                   elide_transfers=elide_transfers,
-                                   instrument=instrument)
+    executor = ProactPhaseExecutor(system, config)
     phases = phase_builder(system)
 
     def driver():
@@ -220,8 +216,7 @@ def run_phases(platform: PlatformSpec, config: ProactConfig,
 
     done = system.engine.process(driver(), name="app")
     system.run(until=done)
-    system._finish_observation()
-    system._finish_validation()
+    system._finish()
     return system.now
 
 

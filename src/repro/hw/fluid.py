@@ -63,7 +63,6 @@ class FluidTask:
             last = fraction
             self._milestones.append((fraction * work, Event(engine)))
         self._next_milestone = 0
-        self._rate = 0.0
 
     @property
     def milestone_events(self) -> Tuple[Event, ...]:
@@ -110,7 +109,10 @@ class FluidShare:
         self.name = name
         self._tasks: List[FluidTask] = []
         self._last_update = engine.now
-        self.total_service = 0.0
+        # Every task progresses at the same relative speed: capacity is
+        # allotted in proportion to demand, so each task's own clock
+        # runs at this fraction of real time (set by _rebalance).
+        self._scale = 1.0
         # The currently-armed wakeup: the absolute instant it fires at and
         # a generation number.  A firing wakeup whose generation does not
         # match is stale (superseded by a later state change) and ignored.
@@ -178,18 +180,6 @@ class FluidShare:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _rates(self) -> None:
-        demand = self.total_demand
-        if demand <= self.capacity:
-            scale = 1.0
-        else:
-            scale = self.capacity / demand
-        # All tasks progress at the same *relative* speed; capacity is
-        # allotted in proportion to demand, so each task's own clock runs
-        # at `scale` of real time.
-        for task in self._tasks:
-            task._rate = scale
-
     def _advance(self) -> None:
         """Credit service for time elapsed since the last update."""
         now = self.engine.now
@@ -198,10 +188,9 @@ class FluidShare:
         if elapsed <= 0:
             return
         finished: List[FluidTask] = []
+        progress = elapsed * self._scale
         for task in self._tasks:
-            progress = elapsed * task._rate
             task.consumed += progress
-            self.total_service += progress * task.demand
             task._fire_crossed_milestones()
             if task.consumed + _EPS >= task.work:
                 finished.append(task)
@@ -210,21 +199,23 @@ class FluidShare:
             task.done.succeed(task)
 
     def _rebalance(self) -> None:
-        """Recompute rates and schedule the next interesting instant.
+        """Recompute the scale and schedule the next interesting instant.
 
         Re-solves are batched by *fire time*: if the armed wakeup already
         fires at exactly the instant this re-solve wants, it is kept
-        instead of being superseded by a fresh timeout.  Rates were just
-        recomputed above, so whichever wakeup fires simply credits
-        service at the then-current rates — the same work either way.
+        instead of being superseded by a fresh timeout.  The scale was
+        just recomputed, so whichever wakeup fires simply credits service
+        at the then-current scale — the same work either way.
         """
-        self._rates()
+        demand = self.total_demand
+        scale = 1.0 if demand <= self.capacity else self.capacity / demand
+        self._scale = scale
         horizon = math.inf
-        for task in self._tasks:
-            remaining = task._next_target() - task.consumed
-            if math.isinf(remaining) or task._rate <= 0:
-                continue
-            horizon = min(horizon, max(remaining, 0.0) / task._rate)
+        if scale > 0:
+            for task in self._tasks:
+                remaining = task._next_target() - task.consumed
+                if not math.isinf(remaining):
+                    horizon = min(horizon, max(remaining, 0.0) / scale)
         if math.isinf(horizon):
             # Nothing finite to wait for; any pending wakeup is stale.
             self._armed_time = math.nan

@@ -10,10 +10,9 @@ accurate without a second shared resource.
 from __future__ import annotations
 
 import typing
-from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.hw.fluid import FluidShare, FluidTask
+from repro.hw.fluid import FluidShare
 from repro.hw.specs import GpuSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,12 +30,6 @@ class Gpu:
         self.spec = spec
         self.compute = FluidShare(engine, capacity=1.0,
                                   name=f"gpu{gpu_id}.compute")
-        self.kernels_launched = 0
-
-    def run_task(self, name: str, work: float, demand: float = 1.0,
-                 milestones: Sequence[float] = ()) -> FluidTask:
-        """Run arbitrary work on this GPU's compute fabric."""
-        return self.compute.launch(name, work, demand, milestones)
 
     def kernel_time(self, flops: float, local_bytes: float = 0.0) -> float:
         """Uncontended execution time of a kernel.

@@ -37,19 +37,16 @@ class _ProactParadigmBase(Paradigm):
 
     def __init__(self, config: ProactConfig,
                  elide_transfers: bool = False,
-                 instrument: bool = True,
                  mechanisms: Optional[Mechanisms] = None) -> None:
         self.config = config
         self.elide_transfers = elide_transfers
-        self.instrument = instrument
         self.mechanisms = mechanisms
 
     def _drive(self, system: System, workload,
                phases: Sequence[Sequence[GpuPhaseWork]],
                result: ParadigmResult):
         executor = ProactPhaseExecutor(
-            system, self.config, elide_transfers=self.elide_transfers,
-            instrument=self.instrument)
+            system, self.config, elide_transfers=self.elide_transfers)
         for works in phases:
             phase_result = yield executor.execute(works)
             result.phase_durations.append(phase_result.duration)
@@ -69,7 +66,6 @@ class ProactInlineParadigm(_ProactParadigmBase):
             ProactConfig(MECH_INLINE, DEFAULT_CONFIG.chunk_size,
                          DEFAULT_CONFIG.transfer_threads),
             elide_transfers=elide_transfers,
-            instrument=False,
             mechanisms=mechanisms)
 
 
@@ -104,7 +100,6 @@ class ProactHardwareParadigm(_ProactParadigmBase):
             ProactConfig(MECH_HARDWARE, chunk_size,
                          DEFAULT_CONFIG.transfer_threads),
             elide_transfers=elide_transfers,
-            instrument=True,  # the executor skips tracking for hardware
             mechanisms=mechanisms)
 
 

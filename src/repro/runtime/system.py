@@ -20,7 +20,6 @@ from repro.hw.gpu import Gpu
 from repro.hw.platform import PlatformSpec
 from repro.interconnect.fabric import Fabric
 from repro.interconnect.packet import raw_format
-from repro.interconnect.link import DEFAULT_QUANTUM
 from repro.obs.capture import active as active_observation
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.runtime.device import Device
@@ -46,7 +45,6 @@ class System:
     """
 
     def __init__(self, spec: PlatformSpec, infinite_bw: bool = False,
-                 quantum: int = DEFAULT_QUANTUM,
                  num_gpus: Optional[int] = None,
                  dma_engines: int = 1,
                  tracer: Optional[Tracer] = None,
@@ -92,13 +90,13 @@ class System:
             # dependencies (fabric, platform specs).
             from repro.cluster.fabric import ClusterFabric
             self.fabric: Fabric = ClusterFabric(
-                self.engine, spec, infinite=infinite_bw, quantum=quantum)
+                self.engine, spec, infinite=infinite_bw)
         else:
             fmt = (None if self.mechanisms.packet_overhead
                    else raw_format(spec.interconnect.fmt))
             self.fabric = Fabric(self.engine, spec.interconnect,
                                  spec.num_gpus, infinite=infinite_bw,
-                                 quantum=quantum, fmt=fmt)
+                                 fmt=fmt)
         self.devices: List[Device] = [
             Device(self, gpu, dma_engines=dma_engines) for gpu in self.gpus]
         self.checker = None
@@ -114,15 +112,6 @@ class System:
     def validating(self) -> bool:
         """Whether this system runs under the readiness sanitizer."""
         return self.engine.sanitizer.enabled
-
-    def _finish_validation(self) -> None:
-        """End-of-run audit: conservation over every link, no open chunks.
-
-        No-op when the system is not validating; safe to call from every
-        run-shaped entry point (paradigms, collectives, profiler).
-        """
-        if self.checker is not None:
-            self.checker.check(self.now)
 
     @property
     def now(self) -> float:
@@ -169,44 +158,51 @@ class System:
         executor = CollectiveExecutor(self, access_size=access_size)
         return executor.launch(schedule)
 
-    def _finish_observation(self) -> None:
-        """Flush end-of-run observability: link lanes and run totals.
+    def _finish(self) -> None:
+        """End-of-run flush: observability export, then validation audit.
+
+        Every run-shaped entry point (paradigms, collectives, profiler,
+        :meth:`repro.api.Session.finish`) calls this once its simulation
+        has stopped.
 
         Link occupancy is accumulated as intervals during the run (one
         per service quantum) and exported here as *merged* busy spans —
         one trace span per contiguous busy stretch — so even
-        quantum-heavy runs produce compact traces.  Idempotent; no-op
-        when neither tracing nor metrics are enabled.
+        quantum-heavy runs produce compact traces; run totals go to the
+        metrics registry.  That export happens once per system.  The
+        audit (conservation over every link, no open chunks) runs on
+        every call and is a no-op when the system is not validating.
         """
-        if self._observation_finished:
-            return
-        self._observation_finished = True
-        if self.tracer.enabled:
-            for link in self.fabric.links:
-                channel = f"gpu{link.owner_gpu}.link:{link.name}" \
-                    if link.owner_gpu is not None else f"link:{link.name}"
-                for start, end in link.busy.merged():
-                    self.tracer.span(start, end, channel, "busy")
-        if self.metrics.enabled:
-            self.metrics.set_gauge("sim_runtime_s", self.now,
-                                   platform=self.spec.name)
-            self.metrics.inc("engine_events_scheduled",
-                             self.engine.events_scheduled)
-            self.metrics.inc("engine_events_fired",
-                             self.engine.events_fired)
-            for link in self.fabric.links:
-                if link.wire_bytes == 0:
-                    continue
-                self.metrics.inc("link_wire_bytes", link.wire_bytes,
-                                 link=link.name)
-                self.metrics.inc("link_goodput_bytes", link.goodput_bytes,
-                                 link=link.name)
-                self.metrics.observe("link_utilization",
-                                     link.utilization(self.now))
-            self.metrics.inc("fabric_goodput_bytes",
-                             self.fabric.total_goodput_bytes())
-            self.metrics.inc("fabric_wire_bytes",
-                             self.fabric.total_wire_bytes())
+        if not self._observation_finished:
+            self._observation_finished = True
+            if self.tracer.enabled:
+                for link in self.fabric.links:
+                    channel = f"gpu{link.owner_gpu}.link:{link.name}" \
+                        if link.owner_gpu is not None else f"link:{link.name}"
+                    for start, end in link.busy.merged():
+                        self.tracer.span(start, end, channel, "busy")
+            if self.metrics.enabled:
+                self.metrics.set_gauge("sim_runtime_s", self.now,
+                                       platform=self.spec.name)
+                self.metrics.inc("engine_events_scheduled",
+                                 self.engine.events_scheduled)
+                self.metrics.inc("engine_events_fired",
+                                 self.engine.events_fired)
+                for link in self.fabric.links:
+                    if link.wire_bytes == 0:
+                        continue
+                    self.metrics.inc("link_wire_bytes", link.wire_bytes,
+                                     link=link.name)
+                    self.metrics.inc("link_goodput_bytes", link.goodput_bytes,
+                                     link=link.name)
+                    self.metrics.observe("link_utilization",
+                                         link.utilization(self.now))
+                self.metrics.inc("fabric_goodput_bytes",
+                                 self.fabric.total_goodput_bytes())
+                self.metrics.inc("fabric_wire_bytes",
+                                 self.fabric.total_wire_bytes())
+        if self.checker is not None:
+            self.checker.check(self.now)
 
     def __repr__(self) -> str:
         return (f"<System {self.spec.name}: {self.num_gpus}x "

@@ -8,6 +8,7 @@ from repro.core import (
     MECH_CDP,
     MECH_INLINE,
     MECH_POLLING,
+    Mechanisms,
     PollingAgent,
     ProactConfig,
     ProactPhaseExecutor,
@@ -85,15 +86,18 @@ def test_polling_phase_hides_most_transfer_time():
 
 
 def test_decoupled_instrumentation_slows_kernel():
-    def duration(instrument):
-        system = volta_system()
+    def kernel_span(mechanisms):
+        system = volta_system(mechanisms=mechanisms)
         config = ProactConfig(MECH_POLLING, 1 * MiB, 2048)
         works = one_producer_phase(system, num_ctas=50_000)
-        result = run_phase(system, config, works, instrument=instrument)
-        return result.duration
+        producer = run_phase(system, config, works).outcomes[0]
+        return producer.kernel_end - producer.kernel_start
 
+    # Without readiness tracking the producer kernel carries no counter
+    # instrumentation, so its span shrinks by the tracking cost.
     overhead = tracking_overhead(PLATFORM_4X_VOLTA.gpu, 50_000)
-    assert duration(True) - duration(False) == pytest.approx(
+    untracked = Mechanisms(readiness_tracking=False)
+    assert kernel_span(None) - kernel_span(untracked) == pytest.approx(
         overhead, rel=0.2)
 
 

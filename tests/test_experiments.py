@@ -272,3 +272,29 @@ def test_utilization_run_small():
     assert set(result.timelines) == {"cudaMemcpy", "PROACT-decoupled"}
     assert all(len(s) == 16 for s in result.timelines.values())
     assert "utilization" in str(result.table())
+
+
+def test_utilization_memcpy_run_gets_the_end_of_run_audit(monkeypatch):
+    # cudaMemcpy runs no phase executor, so the end-of-run flush is the
+    # only conservation check its validated run gets.
+    from repro.experiments import utilization
+    from repro.hw import platform_by_name
+    from repro.paradigms import BulkMemcpyParadigm
+    from repro.validate import validation
+    from repro.validate.conservation import ConservationChecker
+    from repro.workloads import MicroBenchmark
+
+    calls = []
+    original = ConservationChecker.check
+
+    def counted(checker, now):
+        calls.append(now)
+        return original(checker, now)
+
+    monkeypatch.setattr(ConservationChecker, "check", counted)
+    with validation() as scope:
+        _timeline, runtime, _util = utilization._run_with_fabric(
+            BulkMemcpyParadigm(), MicroBenchmark(data_bytes=8 * MiB),
+            platform_by_name("4x_volta"), buckets=4)
+    assert calls == [runtime]
+    assert scope.summary()["violations"] == 0

@@ -147,10 +147,9 @@ def test_gpu_kernel_time_roofline():
 def test_gpu_run_task_executes_on_fluid_share():
     engine = Engine()
     gpu = Gpu(engine, 0, VOLTA_V100)
-    task = gpu.run_task("kernel", work=0.25)
+    task = gpu.compute.launch("kernel", work=0.25)
     engine.run(until=task.done)
     assert engine.now == pytest.approx(0.25)
-    assert gpu.compute.total_service == pytest.approx(0.25)
 
 
 def test_gpu_rejects_negative_id_and_work_figures():

@@ -381,7 +381,7 @@ def test_unobserved_system_costs_nothing():
     system = System(platform_by_name("4x_volta"))
     assert system.tracer is NULL_TRACER
     assert not system.metrics.enabled
-    system._finish_observation()  # must be a silent no-op
+    system._finish()  # must be a silent no-op
     assert system.tracer.records == ()
 
 
@@ -414,7 +414,7 @@ def _traced_phase(mechanism=None, chunk_size=None):
                           chunk_size or 1 * MiB, 2048)
     executor = ProactPhaseExecutor(system, config)
     result = system.run(until=executor.execute(works))
-    system._finish_observation()
+    system._finish()
     return system, result
 
 

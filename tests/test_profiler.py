@@ -231,13 +231,3 @@ def test_run_phases_infinite_bw_flag():
     ideal = run_phases(PLATFORM_4X_VOLTA, config, builder,
                        infinite_bw=True)
     assert ideal < real
-
-
-def test_run_phases_instrumentation_flag():
-    config = ProactConfig(MECH_POLLING, 1 * MiB, 2048)
-    builder = small_pagerank().phase_builder()
-    with_tracking = run_phases(PLATFORM_4X_VOLTA, config, builder,
-                               elide_transfers=True)
-    without = run_phases(PLATFORM_4X_VOLTA, config, builder,
-                         elide_transfers=True, instrument=False)
-    assert with_tracking > without

@@ -113,6 +113,7 @@ def test_removed_shims_stay_removed():
     """Legacy spellings and unused helpers are gone, not kept as aliases."""
     import dataclasses
     import importlib
+    import inspect
 
     from repro.core import profiler
     from repro.core.config import ProactConfig
@@ -164,6 +165,29 @@ def test_removed_shims_stay_removed():
     assert not hasattr(executor, "bus_bandwidth_table")
     assert not hasattr(utilization, "fabric_utilization_timeline")
     assert not hasattr(_TelemetrySession, "worker_count")
+
+    # Options no run set are gone from the signatures that carried them.
+    from repro.core import ProactPhaseExecutor
+    from repro.core.profiler import run_phases
+    from repro.obs import Observation, capture
+    from repro.sim import Tracer
+
+    removed = {
+        Session: ("verbose_trace", "metrics", "quantum", "dma_engines",
+                  "infinite_bw"),
+        capture: ("trace", "verbose"),
+        Observation: ("trace", "verbose"),
+        Tracer: ("verbose",),
+        repro.System: ("quantum",),
+        ProactPhaseExecutor: ("instrument",),
+        run_phases: ("instrument", "elide_transfers"),
+    }
+    for owner, names in removed.items():
+        parameters = inspect.signature(owner).parameters
+        for name in names:
+            assert name not in parameters, (owner, name)
+    for name in ("serve", "serve_threaded"):
+        assert not hasattr(Session, name)
 
 
 def test_session_paths_do_not_warn():

@@ -445,7 +445,7 @@ def test_validate_context_attaches_sanitizer_summary(monkeypatch):
         assert system.validating  # the runner's scope reached us
         proc = system.collective("all_reduce", 1 * MiB)
         system.run(until=proc)
-        system._finish_validation()
+        system._finish()
         table = TextTable("Validated", ["ok"])
         table.add_row(1)
         return ExperimentResult.build("validated", "Validated", [table], {})

@@ -190,5 +190,5 @@ def test_checker_runs_at_phase_barriers_under_validation():
         system = volta_system()
         assert system.checker is not None
         run_small_collective(system)
-        system._finish_validation()
+        system._finish()
         assert system.checker.checks_run >= 1

@@ -43,7 +43,7 @@ def test_random_decoupled_phases_satisfy_all_invariants(platform, config):
         executor = ProactPhaseExecutor(system, config)
         works = one_producer_phase(system, region_bytes=4 * MiB)
         system.run(until=executor.execute(works))
-        system._finish_validation()
+        system._finish()
     summary = scope.summary()
     assert summary["violations"] == 0
     assert summary["phases_checked"] == 1
@@ -66,7 +66,7 @@ def test_random_multi_phase_workloads_stay_clean(platform, config, work,
                 one_producer_phase(system)[1]
                 for _ in range(system.num_gpus - 1)]
             system.run(until=executor.execute(works))
-        system._finish_validation()
+        system._finish()
     summary = scope.summary()
     assert summary["violations"] == 0
     assert summary["phases_checked"] == num_phases
